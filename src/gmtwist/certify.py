@@ -37,9 +37,9 @@ from .construct import (
 )
 from .errors import ParameterError
 from .graph import (
+    apply_gm_switch,
     char_poly,
     check_isomorphism,
-    gm_switch,
     intersection_array,
     validate_gm,
     vertex_invariant_distribution,
@@ -148,7 +148,7 @@ def run_certification(
 
     # --- switch + switched-adjacency rule ------------------------------------------------
     if report.passed:
-        switched = gm_switch(G, info.partition)
+        switched = apply_gm_switch(G, info.partition)
         ta = verify_ta_rule(switched, params, sigma)
         cert["switched_adjacency_rule"] = {
             "verdict": _verdict(ta.ok),
@@ -174,10 +174,12 @@ def run_certification(
     timer.mark("intersection_arrays")
 
     # --- cospectrality --------------------------------------------------------
+    use_charpoly = not skip_charpoly and G.n <= spectral_budget
     if switched is None:
         cert["cospectrality"] = _skip("no switched graph")
-    elif not skip_charpoly and G.n <= spectral_budget:
-        same = char_poly(G, spectral_budget) == char_poly(switched, spectral_budget)
+    elif use_charpoly:
+        cp_switched = char_poly(switched, spectral_budget)
+        same = char_poly(G, spectral_budget) == cp_switched
         cert["cospectrality"] = {"method": "charpoly", "verdict": _verdict(same)}
     else:
         reason = "flag" if skip_charpoly else "budget"
@@ -253,11 +255,11 @@ def run_certification(
     timer.mark("isomorphisms")
 
     # --- non-vertex-transitivity evidence --------------------------------------
-    if switched is not None and G.n <= HEAVY_STAGE_LIMIT:
-        chosen = invariant
-        max_deg = max(G.degrees())
-        if chosen == "nbhd-charpoly" and max_deg > NBHD_CHARPOLY_MAX_VALENCY:
-            chosen = "clique-counts"
+    heavy_ok = switched is not None and G.n <= HEAVY_STAGE_LIMIT
+    chosen = invariant
+    if chosen == "nbhd-charpoly" and max(G.degrees()) > NBHD_CHARPOLY_MAX_VALENCY:
+        chosen = "clique-counts"
+    if heavy_ok:
         dist_g = vertex_invariant_distribution(G, chosen)
         dist_s = vertex_invariant_distribution(switched, chosen)
         cert["transitivity_evidence"] = {
@@ -275,27 +277,20 @@ def run_certification(
     timer.mark("transitivity_evidence")
 
     # --- polarity independence --------------------------------------------
-    if switched is not None and G.n <= HEAVY_STAGE_LIMIT:
+    # the switched graph's char poly, array and invariant come from above
+    if heavy_ok:
         sigma2 = _pairwise_gram(params)
         info2 = switching_partition(params, sigma2)
         rep2 = validate_gm(G, info2.partition)
         if rep2.passed:
-            switched2 = gm_switch(G, info2.partition)
+            switched2 = apply_gm_switch(G, info2.partition)
             checks = {}
-            if not skip_charpoly and G.n <= spectral_budget:
-                checks["charpoly_equal"] = (
-                    char_poly(switched, spectral_budget)
-                    == char_poly(switched2, spectral_budget)
-                )
+            if use_charpoly:
+                checks["charpoly_equal"] = cp_switched == char_poly(switched2, spectral_budget)
             ia2 = intersection_array(switched2)
-            iat = intersection_array(switched)
             checks["arrays_equal"] = ia2.is_drg and iat.is_drg and ia2.array == iat.array
-            chosen = invariant
-            if chosen == "nbhd-charpoly" and max(G.degrees()) > NBHD_CHARPOLY_MAX_VALENCY:
-                chosen = "clique-counts"
-            d1 = vertex_invariant_distribution(switched, chosen)
             d2 = vertex_invariant_distribution(switched2, chosen)
-            checks["invariant_distributions_equal"] = d1.counts == d2.counts
+            checks["invariant_distributions_equal"] = dist_s.counts == d2.counts
             cert["polarity_independence"] = {
                 "verdict": _verdict(all(checks.values())),
                 "grams_distinct": sigma2.gram != sigma.gram,

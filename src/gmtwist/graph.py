@@ -10,10 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .charpoly import char_poly_exact
+import numpy as np
+
+from .charpoly import adjacency_matrix, char_poly_exact, char_polys_exact
 from .errors import DomainError, GMHypothesisError, ParameterError
 
 DEFAULT_SPECTRAL_BUDGET = 2000
+# Upper bound on the bytes of 0/1 neighbourhood matrices cut out at once
+NBHD_STACK_BYTES = 1 << 20
 
 
 class Graph:
@@ -218,6 +222,12 @@ def gm_switch(G: Graph, P: SwitchingPartition) -> Graph:
     report = validate_gm(G, P)
     if not report.passed:
         raise GMHypothesisError(report)
+    return apply_gm_switch(G, P)
+
+
+def apply_gm_switch(G: Graph, P: SwitchingPartition) -> Graph:
+    """The switch of `gm_switch` without validation, for a caller that has
+    already seen validate_gm(G, P) pass."""
     adj = list(G.adj)
     masks = P.cell_masks()
     sizes = [len(c) for c in P.cells]
@@ -356,18 +366,25 @@ class InvariantDistribution:
         }
 
 
-def _neighborhood_charpoly(G: Graph, v: int) -> tuple[int, ...]:
-    nbrs = G.neighbors(v)
-    pos = {u: i for i, u in enumerate(nbrs)}
-    sub = []
-    for u in nbrs:
-        m = 0
-        rest = G.adj[u]
-        for w in nbrs:
-            if rest >> w & 1:
-                m |= 1 << pos[w]
-        sub.append(m)
-    return char_poly_exact(sub, len(nbrs))
+def _neighborhood_charpolys(G: Graph) -> list[tuple[int, ...]]:
+    """Exact char poly of every open neighbourhood, one degree class at a time.
+
+    The neighbourhood matrices of a class are cut from a dense 0/1 view of G
+    in chunks of at most NBHD_STACK_BYTES and go to the batched kernel.
+    """
+    dense = adjacency_matrix(G.adj, G.n)
+    degrees = dense.sum(axis=1, dtype=np.int64)
+    values: list = [None] * G.n
+    for k in np.unique(degrees).tolist():
+        verts = np.flatnonzero(degrees == k)
+        step = max(1, NBHD_STACK_BYTES // max(1, k * k))
+        for lo in range(0, len(verts), step):
+            chunk = verts[lo : lo + step]
+            nbrs = np.nonzero(dense[chunk])[1].reshape(len(chunk), k)
+            stack = dense[nbrs[:, :, None], nbrs[:, None, :]]
+            for v, poly in zip(chunk.tolist(), char_polys_exact(stack)):
+                values[v] = poly
+    return values
 
 
 def _clique_counts(G: Graph, v: int) -> tuple[int, int]:
@@ -385,6 +402,15 @@ def _clique_counts(G: Graph, v: int) -> tuple[int, int]:
     return tri2 // 2, k4_3 // 3
 
 
+def vertex_invariants(G: Graph, invariant: str) -> list:
+    """Value of `invariant` ("nbhd-charpoly" or "clique-counts") at each vertex, in vertex order."""
+    if invariant == "nbhd-charpoly":
+        return _neighborhood_charpolys(G)
+    if invariant == "clique-counts":
+        return [_clique_counts(G, v) for v in range(G.n)]
+    raise ParameterError(f"unknown invariant {invariant!r}")
+
+
 def vertex_invariant_distribution(
     G: Graph,
     invariant: str = "nbhd-charpoly",
@@ -393,21 +419,19 @@ def vertex_invariant_distribution(
     """Distribution of a per-vertex invariant over all vertices.
 
     Default invariant: exact char poly of the subgraph induced on the open
-    neighborhood.  Falls back to per-vertex (triangle, 4-clique) counts when a
-    neighborhood exceeds the spectral budget, and flags the fallback.
+    neighborhood.  All neighbourhoods of one degree go through the batched
+    mod-p kernel of `charpoly` together, in chunks of at most
+    NBHD_STACK_BYTES of 0/1 matrices here and KERNEL_STACK_BYTES of int64
+    kernel input there; the overflow argument is the one in `charpoly`.
+    Falls back to per-vertex (triangle, 4-clique) counts when a neighborhood
+    exceeds the spectral budget, and flags the fallback.
     """
     fallback = False
     if invariant == "nbhd-charpoly" and any(G.degree(v) > budget for v in range(G.n)):
         invariant = "clique-counts"
         fallback = True
-    if invariant not in ("nbhd-charpoly", "clique-counts"):
-        raise ParameterError(f"unknown invariant {invariant!r}")
     counts: dict = {}
-    for v in range(G.n):
-        if invariant == "nbhd-charpoly":
-            val = _neighborhood_charpoly(G, v)
-        else:
-            val = _clique_counts(G, v)
+    for val in vertex_invariants(G, invariant):
         counts[val] = counts.get(val, 0) + 1
     return InvariantDistribution(invariant, counts, fallback)
 

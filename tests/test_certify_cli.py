@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
+import gmtwist.certify as certify_mod
+import gmtwist.graph as graph_mod
 from gmtwist.certify import (
     certificate_to_json,
     collect_verdicts,
@@ -27,8 +30,43 @@ def test_certification_2_2_passes(cert22):
     assert cert22["switched_adjacency_rule"]["pairs_checked"] == 2100
     assert cert22["transitivity_evidence"]["original_distinct"] == 1
     assert cert22["transitivity_evidence"]["switched_distinct"] >= 2
+    # two local spectra, on the |A| = 140 and |D| = 15 vertices
+    assert cert22["transitivity_evidence"]["switched_class_sizes"] == [140, 15]
+    assert cert22["polarity_independence"] == {
+        "verdict": "pass",
+        "grams_distinct": True,
+        "charpoly_equal": True,
+        "arrays_equal": True,
+        "invariant_distributions_equal": True,
+    }
     verdicts = collect_verdicts(cert22)
     assert verdicts and all(v["verdict"] in ("pass", "skipped") for v in verdicts.values())
+
+
+def test_certification_computes_each_artifact_once(monkeypatch):
+    calls = Counter()
+    seen = []  # keeps the arguments alive so that their ids stay unique
+
+    def counted(name, fn):
+        def wrapper(*args):
+            seen.append(args)
+            calls[(name, *map(id, args))] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("validate_gm", "char_poly", "intersection_array", "vertex_invariant_distribution"):
+        monkeypatch.setattr(certify_mod, name, counted(name, getattr(certify_mod, name)))
+    # gm_switch validates through the graph module's own binding
+    monkeypatch.setattr(graph_mod, "validate_gm", certify_mod.validate_gm)
+    assert run_certification(2, 2)["overall"] == "pass"
+    assert set(calls.values()) == {1}  # no call repeats an earlier one
+    assert Counter(key[0] for key in calls) == {
+        "validate_gm": 2,  # one per switching partition; switching does not revalidate
+        "char_poly": 3,  # G, the switched graph and the second switched graph
+        "intersection_array": 4,  # the same three plus the twisted graph
+        "vertex_invariant_distribution": 3,
+    }
 
 
 def test_certificate_schema(cert22):

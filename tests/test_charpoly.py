@@ -1,8 +1,18 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gmtwist.charpoly import char_poly_exact, coefficient_bound
+import gmtwist.charpoly as charpoly_mod
+from gmtwist.charpoly import (
+    _charpoly_mod,
+    char_poly_exact,
+    char_polys_exact,
+    coefficient_bound,
+    primes_for_dimension,
+)
 from gmtwist.construct import Parameters, canonical_grassmann
 from gmtwist.errors import ParameterError
 from gmtwist.subspace import gaussian_binomial
@@ -95,3 +105,149 @@ def test_coefficient_bound_dominates():
 def test_dimension_cap():
     with pytest.raises(ParameterError):
         char_poly_exact([0] * 5000, 5000)
+
+
+# --- batched mod-p kernel -------------------------------------------------
+
+# a mix of the kernel's own primes just below 2^25 and small ones, where
+# pivots vanish mod p far more often
+MIXED_PRIMES = (2, 3, 5, 7, 101, 65537) + primes_for_dimension(30)
+
+
+def _per_matrix_charpoly_mod(A, p):
+    """One matrix at a time, scalar pivots: an independent reference for the batched kernel."""
+    H = (A % p).astype(np.int64)
+    n = H.shape[0]
+    if n == 0:
+        return np.array([1], dtype=np.int64)
+    for j in range(n - 2):
+        col = H[j + 1 :, j]
+        nz = np.nonzero(col)[0]
+        if len(nz) == 0:
+            continue
+        piv = j + 1 + int(nz[0])
+        if piv != j + 1:
+            H[[j + 1, piv]] = H[[piv, j + 1]]
+            H[:, [j + 1, piv]] = H[:, [piv, j + 1]]
+        inv = pow(int(H[j + 1, j]), p - 2, p)
+        mults = (H[j + 2 :, j] * inv) % p
+        H[j + 2 :] = (H[j + 2 :] - mults[:, None] * H[j + 1][None, :]) % p
+        H[:, j + 1] = (H[:, j + 1] + H[:, j + 2 :] @ mults) % p
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    sub = np.diagonal(H, -1).copy()
+    for m in range(1, n + 1):
+        pm = np.zeros(n + 1, dtype=np.int64)
+        pm[1 : m + 1] = P[m - 1, 0:m]
+        pm = (pm - int(H[m - 1, m - 1]) * P[m - 1]) % p
+        if m >= 2:
+            weights = np.zeros(m - 1, dtype=np.int64)
+            running = 1
+            for i in range(1, m):
+                running = (running * int(sub[m - i - 1])) % p
+                if running == 0:
+                    break
+                weights[i - 1] = (int(H[m - i - 1, m - 1]) * running) % p
+            rows = P[m - 2 :: -1][: m - 1]
+            pm = (pm - (weights @ rows)) % p
+        P[m] = pm
+    return P[n]
+
+
+def _symmetric(n, kind, rng):
+    """0/1 symmetric matrix with zero diagonal of the given kind."""
+    if kind == "empty":
+        upper = np.zeros((n, n), dtype=bool)
+    elif kind == "dense":
+        upper = np.ones((n, n), dtype=bool)
+    else:
+        upper = rng.random((n, n)) < 0.5
+    A = np.triu(upper, 1)
+    A = (A | A.T).astype(np.uint8)
+    if kind == "isolated" and n:
+        lonely = rng.random(n) < 0.4  # zero rows and columns: pivot-free steps
+        A[lonely] = 0
+        A[:, lonely] = 0
+    return A
+
+
+@st.composite
+def stacks(draw):
+    n = draw(st.integers(0, 8))
+    kinds = draw(st.lists(st.sampled_from(["empty", "dense", "random", "isolated"]), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = np.stack([_symmetric(n, kind, rng) for kind in kinds]).reshape(len(kinds), n, n)
+    primes = draw(st.lists(st.sampled_from(MIXED_PRIMES), min_size=len(kinds), max_size=len(kinds)))
+    return mats, np.array(primes, dtype=np.int64)
+
+
+def _sympy_of_matrix(A):
+    n = A.shape[0]
+    return _sympy_charpoly([sum(int(b) << j for j, b in enumerate(row)) for row in A], n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks())
+def test_batched_kernel_matches_sympy(stack):
+    mats, primes = stack
+    exact = [_sympy_of_matrix(A) for A in mats]
+    residues = _charpoly_mod(mats, primes)
+    for row, poly, p in zip(residues.tolist(), exact, primes.tolist()):
+        assert row == [c % p for c in poly]
+    assert char_polys_exact(mats) == exact
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_kernel_matches_per_matrix_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 25))
+    kinds = ["empty", "dense", "random", "random", "isolated", "isolated"]
+    mats = np.stack([_symmetric(n, kind, rng) for kind in kinds]).reshape(len(kinds), n, n)
+    primes = rng.choice(np.array(MIXED_PRIMES, dtype=np.int64), size=len(kinds))
+    batched = _charpoly_mod(mats, primes)
+    for A, p, row in zip(mats, primes.tolist(), batched):
+        assert row.tolist() == _per_matrix_charpoly_mod(A.astype(np.int64), p).tolist()
+
+
+def test_zero_pivot_column_in_mixed_batch():
+    # column 0 of the first matrix has no pivot (vertex 0 is isolated) while
+    # the second needs a row swap; each must reduce as if alone
+    path = np.zeros((5, 5), dtype=np.uint8)
+    for u, v in ((1, 2), (2, 3), (3, 4)):
+        path[u, v] = path[v, u] = 1
+    swap = np.zeros((5, 5), dtype=np.uint8)
+    for u, v in ((0, 3), (1, 2), (3, 4), (1, 4)):
+        swap[u, v] = swap[v, u] = 1
+    mats = np.stack([path, swap])
+    for p in (3, MIXED_PRIMES[-1]):
+        rows = _charpoly_mod(mats, np.array([p, p]))
+        for A, row in zip(mats, rows):
+            assert row.tolist() == _per_matrix_charpoly_mod(A.astype(np.int64), p).tolist()
+    assert char_polys_exact(mats) == [_sympy_of_matrix(A) for A in mats]
+
+
+def test_chunk_boundaries_do_not_change_results(monkeypatch):
+    rng = np.random.default_rng(7)
+    n = 12
+    mats = np.stack([_symmetric(n, kind, rng) for kind in ["random", "isolated", "dense"] * 5])
+    primes = np.array(MIXED_PRIMES[-6:] * 5 + MIXED_PRIMES[:3] * 5, dtype=np.int64)[: len(mats)]
+    whole = _charpoly_mod(mats, primes)
+    split = np.concatenate([_charpoly_mod(mats[lo : lo + 4], primes[lo : lo + 4]) for lo in range(0, len(mats), 4)])
+    assert (whole == split).all()
+    unsplit = char_polys_exact(mats)
+    # 7 slots per chunk: the primes of one matrix straddle chunk boundaries
+    monkeypatch.setattr(charpoly_mod, "KERNEL_STACK_BYTES", 7 * 8 * (n + 1) ** 2)
+    assert char_polys_exact(mats) == unsplit
+    monkeypatch.setattr(charpoly_mod, "KERNEL_STACK_BYTES", 1)
+    assert char_polys_exact(mats) == unsplit
+
+
+def test_prime_list_is_memoised_and_immutable():
+    primes = primes_for_dimension(42)
+    assert isinstance(primes, tuple)
+    assert primes_for_dimension(42) is primes
+    assert all(p < 1 << 25 for p in primes) and list(primes) == sorted(primes, reverse=True)
+    product = 1
+    for p in primes:
+        product *= p
+    assert product > 2 * coefficient_bound(42) + 1

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+import gmtwist.graph as graph_mod
+from gmtwist.charpoly import char_poly_exact
 from gmtwist.errors import DomainError, GMHypothesisError, ParameterError
 from gmtwist.graph import (
     Graph,
     SwitchingPartition,
+    apply_gm_switch,
     bits_of,
     build_graph,
     char_poly,
@@ -17,6 +20,7 @@ from gmtwist.graph import (
     mask_of,
     validate_gm,
     vertex_invariant_distribution,
+    vertex_invariants,
 )
 
 
@@ -150,6 +154,7 @@ def test_gm_switch_random_instances_involution_and_cospectral():
         rep = validate_gm(G, P)
         assert rep.passed
         H = gm_switch(G, P)
+        assert apply_gm_switch(G, P) == H  # the checked switch is validate + apply
         assert gm_switch(H, P) == G  # involution
         assert cospectral(G, H)  # switching preserves the spectrum
 
@@ -187,6 +192,52 @@ def test_vertex_invariants():
 
     with pytest.raises(ParameterError):
         vertex_invariant_distribution(C6, invariant="spectra")
+
+
+def test_neighbourhood_charpolys_match_per_vertex_polys(monkeypatch):
+    # mixed degrees, an isolated vertex, and a vertex whose neighbourhood is edgeless
+    rng = random.Random(5)
+    edges = {(u, v) for u in range(1, 14) for v in range(u + 1, 14) if rng.random() < 0.45}
+    G = _graph_from_edges(15, edges | {(14, 1)})
+    expected = []
+    for v in range(G.n):
+        nbrs = G.neighbors(v)
+        sub = [mask_of(i for i, w in enumerate(nbrs) if G.has_edge(u, w)) for u in nbrs]
+        expected.append(char_poly_exact(sub, len(nbrs)))
+    assert len(set(G.degrees())) > 3 and G.degree(0) == 0 and G.degree(14) == 1
+    assert vertex_invariants(G, "nbhd-charpoly") == expected
+    # one vertex per neighbourhood chunk
+    monkeypatch.setattr(graph_mod, "NBHD_STACK_BYTES", 1)
+    assert vertex_invariants(G, "nbhd-charpoly") == expected
+
+
+def _classes(values):
+    groups = {}
+    for v, val in enumerate(values):
+        groups.setdefault(val, set()).add(v)
+    return sorted(groups.values(), key=len)
+
+
+def test_local_spectra_separate_the_two_orbits(G22, switched22, info22):
+    # Bang-Fujisaki-Koolen: the local graphs of the twisted Grassmann graph have
+    # two spectra, one on the A-type and one on the D-type vertices
+    assert len(_classes(vertex_invariants(G22, "nbhd-charpoly"))) == 1
+    d_type = set(info22.d_indices)
+    a_type = {v for cell in info22.partition.cells for v in cell}
+    assert (len(a_type), len(d_type)) == (140, 15)
+    assert _classes(vertex_invariants(switched22, "nbhd-charpoly")) == [d_type, a_type]
+
+
+def test_flipped_edge_changes_char_poly_and_local_spectra(switched22):
+    u, v = 0, bits_of(switched22.adj[0])[0]
+    tampered = switched22.copy()
+    tampered.adj[u] ^= 1 << v
+    tampered.adj[v] ^= 1 << u
+    assert char_poly(tampered) != char_poly(switched22)
+    assert (
+        vertex_invariant_distribution(tampered).counts
+        != vertex_invariant_distribution(switched22).counts
+    )
 
 
 def test_check_isomorphism():
