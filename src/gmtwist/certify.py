@@ -15,8 +15,6 @@ import json
 import time
 from importlib import resources
 
-import jsonschema
-
 from . import __version__
 from .construct import (
     Parameters,
@@ -345,6 +343,8 @@ def certificate_schema() -> dict:
 
 def validate_certificate(cert: dict) -> None:
     """Raises jsonschema.ValidationError if the certificate violates the schema."""
+    import jsonschema  # imported here: the CLI never validates, and the import costs ~4 MB
+
     jsonschema.validate(cert, certificate_schema())
 
 

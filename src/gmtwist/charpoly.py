@@ -82,11 +82,26 @@ def primes_for_dimension(n: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
+def packed_rows(adj_rows, n: int) -> np.ndarray:
+    """Adjacency rows given as int bitmasks, as a read-only (n, ceil(n/64))
+    little-endian uint64 array: bit j of row i is bit j % 64 of word j // 64.
+
+    This is the one conversion from bitmasks to numpy; `adjacency_matrix`
+    and the popcount kernels of `graph` all start from it.
+    """
+    width = (n + 63) // 64
+    out = np.empty((n, width), dtype="<u8")
+    row_bytes = out.view(np.uint8)
+    for i, r in enumerate(adj_rows):
+        row_bytes[i] = np.frombuffer(r.to_bytes(8 * width, "little"), np.uint8)
+    out.flags.writeable = False
+    return out
+
+
 def adjacency_matrix(adj_rows, n: int) -> np.ndarray:
     """Dense n x n uint8 0/1 matrix of adjacency rows given as int bitmasks."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in adj_rows), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    packed = packed_rows(adj_rows, n).view(np.uint8)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 def _charpoly_mod(A: np.ndarray, primes: np.ndarray) -> np.ndarray:

@@ -1,8 +1,13 @@
 """Finite simple graphs with exact spectral and switching machinery.
 
-Adjacency is stored as one Python int bitmask per vertex, which keeps the
-all-pairs loops (equitability counts, BFS sweeps, switching) fast enough for
-exhaustive verification at the certified parameters while staying exact.
+Adjacency is stored as one Python int bitmask per vertex; equitability
+counts, GM validation, switching and isomorphism checks work on those rows
+directly.  The per-vertex certification kernels (BFS intersection arrays,
+neighbourhood clique counts and neighbourhood char polys) run instead over a
+packed numpy view of the same rows, `charpoly.packed_rows`: an
+(n, ceil(n/64)) uint64 array on which AND plus `np.bitwise_count` replaces
+the Python bit loops.  Their counts are sums of integer popcounts, so every
+result stays exact, and no kernel allocates an n x n array.
 """
 
 from __future__ import annotations
@@ -12,12 +17,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .charpoly import adjacency_matrix, char_poly_exact, char_polys_exact
+from .charpoly import char_poly_exact, char_polys_exact, packed_rows
 from .errors import DomainError, GMHypothesisError, ParameterError
 
 DEFAULT_SPECTRAL_BUDGET = 2000
-# Upper bound on the bytes of 0/1 neighbourhood matrices cut out at once
+# Upper bound on the bytes of one neighbourhood chunk (see _neighbourhood_stacks)
 NBHD_STACK_BYTES = 1 << 20
+# Upper bound on the bytes of one (panel roots x n) uint64 array of the BFS
+BFS_PANEL_BYTES = 1 << 16
 
 
 class Graph:
@@ -292,55 +299,98 @@ class DRGResult:
     failure: tuple | None = None  # (root, vertex, distance, kind, got, expected)
 
 
-def _bfs_layers(G: Graph, root: int) -> list[int]:
-    """Bitmask of vertices at each distance from root; raises DomainError if disconnected."""
-    layers = [1 << root]
-    seen = 1 << root
+def _pack_last_axis(bits: np.ndarray) -> np.ndarray:
+    """0/1 array of shape (..., m) packed into (..., ceil(m/64)) little-endian
+    uint64 words, laid out as in `packed_rows`."""
+    m = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + (8 * ((m + 63) // 64),), dtype=np.uint8)
+    out[..., : (m + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view("<u8")
+
+
+def _panel_bfs(cols: np.ndarray, roots: np.ndarray):
+    """BFS from every root of a panel at once over the packed view of G.
+
+    `cols` is packed_rows(G.adj, n).T, one (n,) array per word.  Each layer is
+    a (P, W) packed mask; counts[x, y] = |N(y) & L_j(x)| comes from AND plus
+    popcount, and gives c of the vertices of L_{j+1} and b of those of
+    L_{j-1}.  For L_0 = {x} the counts are row x itself.  Returns int32
+    (P, n) arrays: the distance from each root (-1 if unreached), and c and b
+    of every reached vertex (b is 0 on the last layer).
+    """
+    P, n = len(roots), cols.shape[1]
+    dist = np.full((P, n), -1, dtype=np.int32)
+    dist[np.arange(P), roots] = 0
+    c = np.zeros((P, n), dtype=np.int32)
+    b = np.zeros((P, n), dtype=np.int32)
+    counts = ((cols[roots >> 6] >> (roots & 63).astype(np.uint64)[:, None]) & 1).astype(np.int32)
+    pair = np.empty((P, n), dtype=np.uint64)
+    ones = np.empty((P, n), dtype=np.uint8)
+    j = 0
     while True:
-        frontier = 0
-        for v in bits_of(layers[-1]):
-            frontier |= G.adj[v]
-        frontier &= ~seen
-        if not frontier:
-            break
-        layers.append(frontier)
-        seen |= frontier
-    if seen.bit_count() != G.n:
-        raise DomainError("graph is disconnected")
-    return layers
+        if j:
+            np.copyto(b, counts, where=dist == j - 1)
+        frontier = (counts > 0) & (dist < 0)
+        if not frontier.any():
+            return dist, c, b
+        j += 1
+        dist[frontier] = j
+        np.copyto(c, counts, where=frontier)
+        layer = _pack_last_axis(frontier)
+        counts = np.zeros((P, n), dtype=np.int32)
+        for w in range(cols.shape[0]):
+            np.bitwise_and(layer[:, w, None], cols[w], out=pair)
+            counts += np.bitwise_count(pair, out=ones)
 
 
 def intersection_array(G: Graph) -> DRGResult:
-    """BFS from every vertex; returns the array if the (c_j, a_j, b_j) counts are
-    global constants, else the first inconsistency."""
-    if G.n == 0:
+    """Returns the array if the (c_j, b_j) counts of every vertex at distance
+    j from every root are global constants, else the first inconsistency.
+
+    The BFS runs over the packed view `packed_rows(G.adj, n)`, an (n, W)
+    uint64 array with W = ceil(n/64), for a panel of roots at once (see
+    `_panel_bfs`); a panel holds as many roots as keep one (roots x n) uint64
+    array within BFS_PANEL_BYTES, so no n x n array is allocated.  Every
+    count is a sum of integer popcounts bounded by n, so the result is exact.
+
+    The expected values are those of the lowest vertex of each layer of root
+    0; the failure is that of the first root in root order, and within it the
+    first vertex in (distance, vertex) order, c before b.
+    """
+    n = G.n
+    if n == 0:
         raise DomainError("empty graph")
-    ref_layers = _bfs_layers(G, 0)
-    d = len(ref_layers) - 1
-    b: list[int | None] = [None] * (d + 1)
-    c: list[int | None] = [None] * (d + 1)
-    for root in range(G.n):
-        layers = _bfs_layers(G, root)
-        if len(layers) - 1 != d:
-            return DRGResult(False, None, (root, None, None, "diameter", len(layers) - 1, d))
-        for j, layer in enumerate(layers):
-            below = layers[j - 1] if j > 0 else 0
-            above = layers[j + 1] if j < d else 0
-            for v in bits_of(layer):
-                row = G.adj[v]
-                cj = (row & below).bit_count()
-                bj = (row & above).bit_count()
-                if j > 0:
-                    if c[j] is None:
-                        c[j] = cj
-                    elif c[j] != cj:
-                        return DRGResult(False, None, (root, v, j, "c", cj, c[j]))
-                if j < d:
-                    if b[j] is None:
-                        b[j] = bj
-                    elif b[j] != bj:
-                        return DRGResult(False, None, (root, v, j, "b", bj, b[j]))
-    arr = IntersectionArray(d, tuple(b[:d]), tuple(c[1:]))  # type: ignore[arg-type]
+    cols = np.ascontiguousarray(packed_rows(G.adj, n).T)
+    dist, c, b = _panel_bfs(cols, np.zeros(1, dtype=np.int64))
+    if (dist < 0).any():
+        raise DomainError("graph is disconnected")
+    d = int(dist.max())
+    first = [int(np.argmax(dist[0] == j)) for j in range(d + 1)]
+    c_exp = c[0, first]
+    b_exp = b[0, first]
+    step = max(1, BFS_PANEL_BYTES // (8 * n))
+    for lo in range(0, n, step):
+        roots = np.arange(lo, min(n, lo + step))
+        dist, c, b = _panel_bfs(cols, roots)
+        ecc = dist.max(axis=1)
+        at = np.minimum(dist, d)
+        bad_c = (dist > 0) & (c != c_exp[at])
+        bad_b = (dist < d) & (b != b_exp[at])
+        bad = bad_c | bad_b
+        failing = (ecc != d) | bad.any(axis=1)
+        if not failing.any():
+            continue
+        i = int(np.argmax(failing))
+        root = lo + i
+        if ecc[i] != d:
+            return DRGResult(False, None, (root, None, None, "diameter", int(ecc[i]), d))
+        vs = np.flatnonzero(bad[i])
+        v = int(vs[np.argmin(dist[i, vs])])
+        j = int(dist[i, v])
+        if bad_c[i, v]:
+            return DRGResult(False, None, (root, v, j, "c", int(c[i, v]), int(c_exp[j])))
+        return DRGResult(False, None, (root, v, j, "b", int(b[i, v]), int(b_exp[j])))
+    arr = IntersectionArray(d, tuple(b_exp[:d].tolist()), tuple(c_exp[1:].tolist()))
     return DRGResult(True, arr, None)
 
 
@@ -366,49 +416,90 @@ class InvariantDistribution:
         }
 
 
-def _neighborhood_charpolys(G: Graph) -> list[tuple[int, ...]]:
-    """Exact char poly of every open neighbourhood, one degree class at a time.
+def _neighbourhood_stacks(G: Graph, item_bytes: int):
+    """Yield (vertices, H) over the degree classes of G, in chunks: H[i] is the
+    0/1 uint8 (k, k) adjacency matrix of the subgraph induced on the open
+    neighbourhood of vertices[i], neighbours in ascending order.
 
-    The neighbourhood matrices of a class are cut from a dense 0/1 view of G
-    in chunks of at most NBHD_STACK_BYTES and go to the batched kernel.
+    H is gathered bit by bit from the packed view, so no n x n array is made.
+    A chunk of degree k holds at most NBHD_STACK_BYTES // (item_bytes k^2 + n)
+    vertices, for a caller whose temporaries take item_bytes per entry of H
+    (the n is the unpacked row of each vertex, read for its neighbours), and
+    at least one.
     """
-    dense = adjacency_matrix(G.adj, G.n)
-    degrees = dense.sum(axis=1, dtype=np.int64)
-    values: list = [None] * G.n
+    packed = packed_rows(G.adj, G.n)
+    as_bytes = packed.view(np.uint8)
+    degrees = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
     for k in np.unique(degrees).tolist():
         verts = np.flatnonzero(degrees == k)
-        step = max(1, NBHD_STACK_BYTES // max(1, k * k))
+        step = max(1, NBHD_STACK_BYTES // (item_bytes * k * k + G.n))
         for lo in range(0, len(verts), step):
             chunk = verts[lo : lo + step]
-            nbrs = np.nonzero(dense[chunk])[1].reshape(len(chunk), k)
-            stack = dense[nbrs[:, :, None], nbrs[:, None, :]]
-            for v, poly in zip(chunk.tolist(), char_polys_exact(stack)):
-                values[v] = poly
-    return values
+            member = np.unpackbits(as_bytes[chunk], axis=1, count=G.n, bitorder="little")
+            nbrs = np.nonzero(member)[1].reshape(len(chunk), k)
+            del member
+            col = nbrs[:, None, :]
+            H = as_bytes[nbrs[:, :, None], col >> 3]
+            H >>= (col & 7).astype(np.uint8)
+            H &= 1
+            yield chunk, H
 
 
-def _clique_counts(G: Graph, v: int) -> tuple[int, int]:
-    """(triangles through v, 4-cliques through v)."""
-    nbrs = G.neighbors(v)
-    nmask = G.adj[v]
-    tri2 = 0
-    k4_3 = 0
-    for u in nbrs:
-        common_u = G.adj[u] & nmask
-        tri2 += common_u.bit_count()
-        for w in bits_of(common_u):
-            if w > u:
-                k4_3 += (common_u & G.adj[w]).bit_count()
-    return tri2 // 2, k4_3 // 3
+def _clique_counts(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(triangles, 4-cliques) through each vertex of a stack of neighbourhood
+    graphs H: the edges and the triangles of H[i], by popcount.
+
+    With the rows of H[i] packed into ceil(k/64) words, common[u, w] =
+    |N(u) & N(w)| inside H[i], and summing it over the edges (u, w) counts
+    each triangle of H[i] six times.
+    """
+    rows = _pack_last_axis(H)
+    common = np.zeros(H.shape, dtype=np.int32)
+    pair = np.empty(H.shape, dtype=np.uint64)
+    ones = np.empty(H.shape, dtype=np.uint8)
+    for w in range(rows.shape[2]):
+        word = rows[:, :, w]
+        np.bitwise_and(word[:, :, None], word[:, None, :], out=pair)
+        common += np.bitwise_count(pair, out=ones)
+    edges = np.bitwise_count(rows).sum(axis=(1, 2), dtype=np.int64) // 2
+    common *= H
+    triangles = common.sum(axis=(1, 2), dtype=np.int64) // 6
+    return edges, triangles
 
 
 def vertex_invariants(G: Graph, invariant: str) -> list:
-    """Value of `invariant` ("nbhd-charpoly" or "clique-counts") at each vertex, in vertex order."""
+    """Value of `invariant` at each vertex, in vertex order.
+
+    "nbhd-charpoly": the exact char poly of the subgraph induced on the open
+    neighbourhood.  All neighbourhoods of one degree go through the batched
+    mod-p kernel of `charpoly` together, in chunks of at most
+    NBHD_STACK_BYTES of 0/1 matrices here and KERNEL_STACK_BYTES of int64
+    kernel input there; the overflow argument is the one in `charpoly`.
+
+    "clique-counts": (triangles, 4-cliques) through the vertex, that is the
+    edges and the triangles of its neighbourhood graph, counted by integer
+    popcounts over its rows packed into ceil(k/64) uint64 words (see
+    `_clique_counts`), a degree class at a time in chunks whose temporaries,
+    about 16 bytes per neighbour pair, stay within NBHD_STACK_BYTES.  No
+    float is involved: each pair count is an int32 at most k and each sum an
+    int64 at most k^3, so the counts are exact.
+
+    Both start from the packed view `packed_rows(G.adj, n)`; neither
+    allocates an n x n array.
+    """
+    if invariant not in ("nbhd-charpoly", "clique-counts"):
+        raise ParameterError(f"unknown invariant {invariant!r}")
+    values: list = [None] * G.n
     if invariant == "nbhd-charpoly":
-        return _neighborhood_charpolys(G)
-    if invariant == "clique-counts":
-        return [_clique_counts(G, v) for v in range(G.n)]
-    raise ParameterError(f"unknown invariant {invariant!r}")
+        for chunk, H in _neighbourhood_stacks(G, 1):
+            for v, poly in zip(chunk.tolist(), char_polys_exact(H)):
+                values[v] = poly
+    else:
+        for chunk, H in _neighbourhood_stacks(G, 16):
+            edges, triangles = _clique_counts(H)
+            for v, e, t in zip(chunk.tolist(), edges.tolist(), triangles.tolist()):
+                values[v] = (e, t)
+    return values
 
 
 def vertex_invariant_distribution(
@@ -416,15 +507,12 @@ def vertex_invariant_distribution(
     invariant: str = "nbhd-charpoly",
     budget: int = DEFAULT_SPECTRAL_BUDGET,
 ) -> InvariantDistribution:
-    """Distribution of a per-vertex invariant over all vertices.
+    """Distribution of a per-vertex invariant (see `vertex_invariants`) over
+    all vertices.
 
     Default invariant: exact char poly of the subgraph induced on the open
-    neighborhood.  All neighbourhoods of one degree go through the batched
-    mod-p kernel of `charpoly` together, in chunks of at most
-    NBHD_STACK_BYTES of 0/1 matrices here and KERNEL_STACK_BYTES of int64
-    kernel input there; the overflow argument is the one in `charpoly`.
-    Falls back to per-vertex (triangle, 4-clique) counts when a neighborhood
-    exceeds the spectral budget, and flags the fallback.
+    neighborhood.  Falls back to per-vertex (triangle, 4-clique) counts when
+    a neighborhood exceeds the spectral budget, and flags the fallback.
     """
     fallback = False
     if invariant == "nbhd-charpoly" and any(G.degree(v) > budget for v in range(G.n)):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import gmtwist
 import gmtwist.certify as certify_mod
 import gmtwist.graph as graph_mod
 from gmtwist.certify import (
@@ -169,6 +174,15 @@ def test_cli_certify_stdout(capsys):
     assert rc == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["overall"] == "pass"
+
+
+def test_cli_import_does_not_load_jsonschema():
+    # only validate_certificate needs jsonschema; the CLI never validates
+    src = str(Path(gmtwist.__file__).resolve().parents[1])
+    code = "import sys, gmtwist.cli; print('jsonschema' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_parameter_errors(tmp_path):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 import gmtwist.charpoly as charpoly_mod
 from gmtwist.charpoly import (
     _charpoly_mod,
+    adjacency_matrix,
     char_poly_exact,
     char_polys_exact,
     coefficient_bound,
+    packed_rows,
     primes_for_dimension,
 )
 from gmtwist.construct import Parameters, canonical_grassmann
@@ -100,6 +102,21 @@ def test_coefficient_bound_dominates():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
         coeffs = char_poly_exact(_adj_rows_from_edges(n, edges), n)
         assert max(abs(c) for c in coeffs) <= coefficient_bound(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_packed_rows_layout_and_dense_unpack(n):
+    rng = random.Random(n)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    rows = _adj_rows_from_edges(n, edges)
+    packed = packed_rows(rows, n)
+    assert packed.shape == (n, (n + 63) // 64) and packed.dtype == np.dtype("<u8")
+    assert not packed.flags.writeable
+    for i, r in enumerate(rows):
+        assert sum(int(w) << (64 * k) for k, w in enumerate(packed[i])) == r
+    dense = adjacency_matrix(rows, n)
+    assert dense.shape == (n, n) and dense.dtype == np.uint8
+    assert [[(r >> j) & 1 for j in range(n)] for r in rows] == dense.tolist()
 
 
 def test_dimension_cap():

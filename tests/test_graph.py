@@ -1,9 +1,13 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gmtwist.graph as graph_mod
 from gmtwist.charpoly import char_poly_exact
+from gmtwist.construct import Parameters, canonical_grassmann, standard_polarity, switching_partition
 from gmtwist.errors import DomainError, GMHypothesisError, ParameterError
 from gmtwist.graph import (
     Graph,
@@ -177,6 +181,270 @@ def test_intersection_array():
         intersection_array(_graph_from_edges(4, {(0, 1), (2, 3)}))
 
 
+# Plain bit-loop implementations: the references the popcount kernels of
+# intersection_array and the clique-count invariant are checked against.
+
+
+def _bfs_layers(G: Graph, root: int) -> list[int]:
+    """Bitmask of vertices at each distance from root; raises DomainError if disconnected."""
+    layers = [1 << root]
+    seen = 1 << root
+    while True:
+        frontier = 0
+        for v in bits_of(layers[-1]):
+            frontier |= G.adj[v]
+        frontier &= ~seen
+        if not frontier:
+            break
+        layers.append(frontier)
+        seen |= frontier
+    if seen.bit_count() != G.n:
+        raise DomainError("graph is disconnected")
+    return layers
+
+
+def _reference_intersection_array(G: Graph) -> graph_mod.DRGResult:
+    """BFS from every vertex; returns the array if the (c_j, a_j, b_j) counts are
+    global constants, else the first inconsistency."""
+    if G.n == 0:
+        raise DomainError("empty graph")
+    ref_layers = _bfs_layers(G, 0)
+    d = len(ref_layers) - 1
+    b: list[int | None] = [None] * (d + 1)
+    c: list[int | None] = [None] * (d + 1)
+    for root in range(G.n):
+        layers = _bfs_layers(G, root)
+        if len(layers) - 1 != d:
+            return graph_mod.DRGResult(False, None, (root, None, None, "diameter", len(layers) - 1, d))
+        for j, layer in enumerate(layers):
+            below = layers[j - 1] if j > 0 else 0
+            above = layers[j + 1] if j < d else 0
+            for v in bits_of(layer):
+                row = G.adj[v]
+                cj = (row & below).bit_count()
+                bj = (row & above).bit_count()
+                if j > 0:
+                    if c[j] is None:
+                        c[j] = cj
+                    elif c[j] != cj:
+                        return graph_mod.DRGResult(False, None, (root, v, j, "c", cj, c[j]))
+                if j < d:
+                    if b[j] is None:
+                        b[j] = bj
+                    elif b[j] != bj:
+                        return graph_mod.DRGResult(False, None, (root, v, j, "b", bj, b[j]))
+    arr = graph_mod.IntersectionArray(d, tuple(b[:d]), tuple(c[1:]))  # type: ignore[arg-type]
+    return graph_mod.DRGResult(True, arr, None)
+
+
+def _clique_counts(G: Graph, v: int) -> tuple[int, int]:
+    """(triangles through v, 4-cliques through v)."""
+    nbrs = G.neighbors(v)
+    nmask = G.adj[v]
+    tri2 = 0
+    k4_3 = 0
+    for u in nbrs:
+        common_u = G.adj[u] & nmask
+        tri2 += common_u.bit_count()
+        for w in bits_of(common_u):
+            if w > u:
+                k4_3 += (common_u & G.adj[w]).bit_count()
+    return tri2 // 2, k4_3 // 3
+
+
+def _distances(G, root):
+    dist = {root: 0}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in G.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return [dist[v] for v in range(G.n)]
+
+
+def _check_witness(G, failure):
+    """Recompute a reported failure (root, vertex, distance, kind, got, expected)
+    from plain BFS distances: it must be a real inconsistency."""
+    root, v, j, kind, got, expected = failure
+    d0 = _distances(G, 0)
+    dr = _distances(G, root)
+    assert got != expected
+    if kind == "diameter":
+        assert (got, expected) == (max(dr), max(d0))
+        return
+    step = -1 if kind == "c" else 1
+    assert kind in ("c", "b") and dr[v] == j
+
+    def count(dist, x):
+        return sum(dist[w] == dist[x] + step for w in G.neighbors(x))
+
+    assert got == count(dr, v)
+    first = min(x for x in range(G.n) if d0[x] == j)
+    assert expected == count(d0, first)
+
+
+def _assert_matches_reference(G):
+    """The kernel agrees with the reference, including on DomainError; a
+    reported failure is checked by hand."""
+    try:
+        ref = _reference_intersection_array(G)
+    except DomainError:
+        with pytest.raises(DomainError):
+            intersection_array(G)
+        return None
+    ours = intersection_array(G)
+    assert (ours.is_drg, ours.array) == (ref.is_drg, ref.array)
+    assert ours.failure == ref.failure
+    if not ours.is_drg:
+        _check_witness(G, ours.failure)
+    return ours
+
+
+@st.composite
+def random_graphs(draw, max_n=70):
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from([0.05, 0.2, 0.5, 0.9, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return _graph_from_edges(n, edges)
+
+
+def _circulant(n, offsets):
+    return build_graph(range(n), lambda u, v: min((u - v) % n, (v - u) % n) in offsets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs())
+def test_intersection_array_matches_reference_on_random_graphs(G):
+    _assert_matches_reference(G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(5, 40), st.sets(st.integers(1, 20), min_size=1, max_size=4))
+def test_intersection_array_on_regular_circulants(n, offsets):
+    # regular and vertex-transitive, but mostly not distance-regular
+    _assert_matches_reference(_circulant(n, {o for o in offsets if o <= n // 2}))
+
+
+def test_intersection_array_regular_non_drg_witness():
+    # the pentagonal prism is 3-regular and vertex-transitive, not distance-regular
+    prism = _graph_from_edges(
+        10, {(i, (i + 1) % 5) for i in range(5)} | {(5 + i, 5 + (i + 1) % 5) for i in range(5)}
+        | {(i, i + 5) for i in range(5)}
+    )
+    r = _assert_matches_reference(prism)
+    assert prism.is_regular() and not r.is_drg
+    # each kind of witness: a c count, a b count and an eccentricity
+    kinds = {}
+    for G in (
+        prism,
+        _graph_from_edges(4, {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}),  # K4 minus an edge
+        _graph_from_edges(4, {(0, 1), (0, 2), (0, 3)}),  # star
+        _graph_from_edges(5, {(0, 1), (1, 2), (2, 3), (3, 4)}),  # path
+        _graph_from_edges(4, {(0, 1), (0, 2), (2, 3)}),  # path from an inner vertex
+    ):
+        r = _assert_matches_reference(G)
+        kinds[r.failure[3]] = r.failure
+    assert set(kinds) == {"c", "b", "diameter"}
+
+
+def test_intersection_array_domain_errors():
+    with pytest.raises(DomainError):
+        intersection_array(Graph([], []))
+    with pytest.raises(DomainError):
+        intersection_array(_graph_from_edges(4, {(0, 1), (2, 3)}))
+    with pytest.raises(DomainError):
+        intersection_array(build_graph(range(3), lambda u, v: False))
+    # disconnected at a word boundary: two cliques of 64 and 1 vertices
+    with pytest.raises(DomainError):
+        intersection_array(build_graph(range(65), lambda u, v: u < 64 and v < 64))
+    single = intersection_array(Graph([0], [0]))
+    assert single.is_drg and single.array.diameter == 0 and single.array.b == ()
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 63, 64, 65])
+def test_intersection_array_known_families(n):
+    r = intersection_array(_complete(n))
+    assert r.is_drg and (r.array.b, r.array.c) == ((n - 1,), (1,))
+    d = n // 2
+    r = intersection_array(_cycle(n))
+    assert r.is_drg and r.array.b == (2,) + (1,) * (d - 1)
+    assert r.array.c == (1,) * (d - 1) + ((2,) if n % 2 == 0 else (1,))
+    petersen = nx.petersen_graph()
+    P = _graph_from_edges(10, set(petersen.edges()))
+    r = intersection_array(P)
+    assert r.is_drg and (r.array.b, r.array.c) == ((3, 2), (1, 1))
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_intersection_array_panel_boundaries(n, monkeypatch):
+    rng = random.Random(n)
+    graphs = [
+        _cycle(n),
+        _complete(n),
+        _circulant(n, {1, 3}),
+        _graph_from_edges(n, {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.08}
+                          | {(i, i + 1) for i in range(n - 1)}),
+    ]
+    # K_{n-2,2} and the star K_{n-1,1}, larger part first: every root of the
+    # larger part agrees with root 0, so the first failing root is n-2 ("b")
+    # or n-1 ("diameter"), in the last panel
+    late = [
+        build_graph(range(n), lambda u, v: (u < n - 2) != (v < n - 2)),
+        build_graph(range(n), lambda u, v: (u < n - 1) != (v < n - 1)),
+    ]
+    graphs += late
+    expected = [_assert_matches_reference(G) for G in graphs]
+    assert [r.failure[:4:3] for r in expected[-2:]] == [(n - 2, "b"), (n - 1, "diameter")]
+    for panel_bytes in (1, 8 * n * 2, 8 * n * 7 + 5):
+        monkeypatch.setattr(graph_mod, "BFS_PANEL_BYTES", panel_bytes)
+        for G, want in zip(graphs, expected):
+            got = intersection_array(G)
+            assert (got.is_drg, got.array, got.failure) == (want.is_drg, want.array, want.failure)
+
+
+def _networkx_clique_counts(G):
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from((u, v) for u in range(G.n) for v in G.neighbors(u) if u < v)
+    tri = nx.triangles(H)
+    k4 = [0] * G.n
+    for clique in nx.enumerate_all_cliques(H):
+        if len(clique) == 4:
+            for v in clique:
+                k4[v] += 1
+        elif len(clique) > 4:
+            break
+    return [(tri[v], k4[v]) for v in range(G.n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_graphs(max_n=40))
+def test_clique_counts_match_reference_and_networkx(G):
+    want = [_clique_counts(G, v) for v in range(G.n)]
+    assert vertex_invariants(G, "clique-counts") == want
+    assert want == _networkx_clique_counts(G)
+
+
+def test_clique_counts_on_wide_neighbourhoods(monkeypatch):
+    # neighbourhoods of 64 and more vertices span several packed words
+    rng = random.Random(11)
+    n = 80
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9}
+    G = _graph_from_edges(n, edges | {(0, v) for v in range(1, n)})
+    want = [_clique_counts(G, v) for v in range(G.n)]
+    assert G.degree(0) == 79 and vertex_invariants(G, "clique-counts") == want
+    assert vertex_invariants(_complete(66), "clique-counts") == [(2080, 43680)] * 66
+    # one vertex per chunk
+    monkeypatch.setattr(graph_mod, "NBHD_STACK_BYTES", 1)
+    assert vertex_invariants(G, "clique-counts") == want
+
+
 def test_vertex_invariants():
     C6 = _cycle(6)
     d = vertex_invariant_distribution(C6)
@@ -238,6 +506,35 @@ def test_flipped_edge_changes_char_poly_and_local_spectra(switched22):
         vertex_invariant_distribution(tampered).counts
         != vertex_invariant_distribution(switched22).counts
     )
+    assert intersection_array(switched22).is_drg
+    r = intersection_array(tampered)
+    assert not r.is_drg
+    _check_witness(tampered, r.failure)
+    assert r.failure[0] == _reference_intersection_array(tampered).failure[0]
+    assert (
+        vertex_invariant_distribution(tampered, "clique-counts").counts
+        != vertex_invariant_distribution(switched22, "clique-counts").counts
+    )
+
+
+@pytest.fixture(scope="module")
+def grassmann32():
+    params = Parameters(3, 2)
+    G = canonical_grassmann(params)
+    info = switching_partition(params, standard_polarity(params))
+    return G, gm_switch(G, info.partition), info
+
+
+def test_clique_counts_separate_the_two_orbits_at_q3(grassmann32):
+    # the A-type and D-type vertices of the twisted Grassmann graph at (3,2)
+    G, switched, info = grassmann32
+    assert len(_classes(vertex_invariants(G, "clique-counts"))) == 1
+    d_type = set(info.d_indices)
+    a_type = {v for cell in info.partition.cells for v in cell}
+    assert (len(a_type), len(d_type)) == (1170, 40)
+    assert _classes(vertex_invariants(switched, "clique-counts")) == [d_type, a_type]
+    dist = vertex_invariant_distribution(switched, "clique-counts")
+    assert sorted(dist.counts.values(), reverse=True) == [1170, 40]
 
 
 def test_check_isomorphism():
