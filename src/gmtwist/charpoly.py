@@ -82,17 +82,18 @@ def primes_for_dimension(n: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def packed_rows(adj_rows, n: int) -> np.ndarray:
-    """Adjacency rows given as int bitmasks, as a read-only (n, ceil(n/64))
-    little-endian uint64 array: bit j of row i is bit j % 64 of word j // 64.
+def packed_rows(rows, nbits: int) -> np.ndarray:
+    """Rows given as int bitmasks of at most nbits bits, as a read-only
+    (len(rows), ceil(nbits/64)) little-endian uint64 array: bit j of row i is
+    bit j % 64 of word j // 64.
 
     This is the one conversion from bitmasks to numpy; `adjacency_matrix`
     and the popcount kernels of `graph` all start from it.
     """
-    width = (n + 63) // 64
-    out = np.empty((n, width), dtype="<u8")
+    width = (nbits + 63) // 64
+    out = np.empty((len(rows), width), dtype="<u8")
     row_bytes = out.view(np.uint8)
-    for i, r in enumerate(adj_rows):
+    for i, r in enumerate(rows):
         row_bytes[i] = np.frombuffer(r.to_bytes(8 * width, "little"), np.uint8)
     out.flags.writeable = False
     return out

@@ -114,10 +114,24 @@ def _cmd_switch(args) -> int:
     return 0
 
 
+def _parse_budget(source: str, text: str) -> int:
+    """The spectral budget given as `text` by `source`: an integer >= 0."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ParameterError(f"{source} must be an integer >= 0, got {text!r}")
+    return budget
+
+
 def _cmd_certify(args) -> int:
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_CERTIFY_SPECTRAL_BUDGET))
+    if args.budget is not None:
+        budget = _parse_budget("--budget", args.budget)
+    elif BUDGET_ENV_VAR in os.environ:
+        budget = _parse_budget(BUDGET_ENV_VAR, os.environ[BUDGET_ENV_VAR])
+    else:
+        budget = DEFAULT_CERTIFY_SPECTRAL_BUDGET
     cert = run_certification(
         args.q,
         args.e,
@@ -162,7 +176,6 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--skip-charpoly", action="store_true", help="certify cospectrality via intersection arrays only")
     c.add_argument(
         "--budget",
-        type=int,
         help=f"max vertices for exact char polys (default {DEFAULT_CERTIFY_SPECTRAL_BUDGET}, env {BUDGET_ENV_VAR})",
     )
     c.add_argument(

@@ -4,40 +4,55 @@ switching partition, the twisted Grassmann graph, the geometric and
 pseudo-geometric designs, their block graphs, and the explicit vertex maps
 whose isomorphism claims the certifier checks edge by edge.
 
+Every subspace enters as its projective-point mask (`subspace.point_mask`),
+and every pairwise relation between masks (the block graphs, the
+block-intersection histogram and the twisted Grassmann graph) comes from the
+popcount pair kernel of `graph` (`pair_counts`).  The Grassmann adjacency
+takes a separate route that uses no point mask: the cliques of the subspaces
+lying in a common space one dimension up, found by RREF.  So the block-graph
+identity (the geometric design's block graph is the Grassmann graph)
+compares two independent constructions.
+
 Conventions (fixed for reproducibility):
   - V = GF(q)^(2e+1); the hyperplane H is the span of the first 2e coordinates.
   - Vertex order of every constructed graph is the canonical subspace order.
-  - Design blocks are identified by their sorted point-index tuples; the
-    geometric design lists blocks in the canonical order of their generating
-    subspaces, the distorted design lists blocks sorted by point set.
+  - Points are the 1-subspaces of V in canonical order.  Design blocks are
+    identified by their sorted point-index tuples; the geometric design
+    lists blocks in the canonical order of their generating subspaces, the
+    distorted design lists blocks sorted by point set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, ParameterError
 from .gf import FieldContext, make_field
 from .graph import (
     Graph,
     SwitchingPartition,
+    bits_of,
     check_equitable,
     mask_of,
+    pair_count_graph,
+    pair_counts,
 )
 from .subspace import (
     DEFAULT_ENUM_BUDGET,
     Polarity,
     Subspace,
     apply_polarity,
-    decode_vector,
     enumerate_subspaces,
     gaussian_binomial,
     make_polarity,
     mask_contains,
-    normalize_point,
+    point_mask,
     span,
-    vector_mask,
 )
 
 
@@ -71,23 +86,53 @@ def grassmann(n: int, k: int, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> Grap
     intersection has dimension k-1."""
     if not 1 <= k <= n - 1:
         raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    ctx = make_field(q)
-    verts = enumerate_subspaces(ctx, n, k, budget)
-    return _graph_by_intersection_count(verts, q ** (k - 1))
+    verts = enumerate_subspaces(make_field(q), n, k, budget)
+    return Graph(verts, _grassmann_rows(verts))
 
 
-def _graph_by_intersection_count(verts: list[Subspace], target_vectors: int) -> Graph:
-    """Graph on subspaces, adjacent when |W1 cap W2| (as vector sets) hits target."""
-    masks = [vector_mask(w) for w in verts]
-    nv = len(verts)
-    adj = [0] * nv
-    for i in range(nv):
-        mi = masks[i]
-        for j in range(i + 1, nv):
-            if (mi & masks[j]).bit_count() == target_vectors:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(verts, adj)
+def _points_on(q: int, cols: list[int], ambient: int):
+    """The projective points supported on the coordinates `cols`, each as the
+    vector whose first nonzero entry is 1."""
+    for a, lead in enumerate(cols):
+        for tail in product(range(q), repeat=len(cols) - a - 1):
+            vec = [0] * ambient
+            vec[lead] = 1
+            for j, x in zip(cols[a + 1 :], tail):
+                vec[j] = x
+            yield vec
+
+
+def _grassmann_rows(verts: Sequence[Subspace]) -> list[int]:
+    """Adjacency rows of the Grassmann graph on the k-subspaces `verts`.
+
+    Two k-spaces meet in dimension k-1 exactly when they lie in a common
+    (k+1)-space, their sum.  The (k+1)-spaces through W are span(W, c) over
+    the points c of the coordinate complement of W (the coordinates that are
+    not pivots of its RREF basis), each once.  Grouping the vertices by these
+    RREF spans makes every group a clique, and every edge lies in exactly one
+    group.  No point mask is involved, so the block graphs, built from point
+    masks by the pair kernel, are compared with an independent construction.
+    """
+    cliques: dict = {}
+    for i, W in enumerate(verts):
+        pivots = {next(j for j, x in enumerate(row) if x) for row in W.basis}
+        free = [j for j in range(W.ambient) if j not in pivots]
+        for c in _points_on(W.ctx.q, free, W.ambient):
+            T = span(W.ctx, [*W.basis, c], W.ambient).basis
+            cliques[T] = cliques.get(T, 0) | 1 << i
+    rows = [0] * len(verts)
+    for members in cliques.values():
+        for i in bits_of(members):
+            rows[i] |= members
+    return [r & ~(1 << i) for i, r in enumerate(rows)]
+
+
+@lru_cache(maxsize=None)
+def _hyperplane(params: Parameters) -> Subspace:
+    """H, the span of the first 2e coordinate vectors."""
+    n = params.n
+    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n - 1))
+    return Subspace(params.ctx, n, basis)
 
 
 def _in_hyperplane(W: Subspace) -> bool:
@@ -103,7 +148,8 @@ def _all_vertices(params: Parameters) -> tuple[Subspace, ...]:
 @lru_cache(maxsize=None)
 def canonical_grassmann(params: Parameters) -> Graph:
     """J_q(2e+1, e+1) with the canonical vertex order."""
-    return _graph_by_intersection_count(list(_all_vertices(params)), params.q**params.e)
+    verts = _all_vertices(params)
+    return Graph(verts, _grassmann_rows(verts))
 
 
 @lru_cache(maxsize=None)
@@ -205,28 +251,22 @@ def switching_partition(params: Parameters, sigma: Polarity) -> PartitionInfo:
 def twisted_grassmann(params: Parameters) -> Graph:
     """Twisted Grassmann graph on A u B: A-A adjacency at intersection dim e,
     A-B by containment, B-B at intersection dim e-2.  Vertex order: A then B,
-    each canonically sorted."""
-    if params.e < 2:
+    each canonically sorted.
+
+    In points: an A-A pair meets in [e] points, an (e+1)-space contains an
+    (e-1)-space when they share its [e-1] points, and a B-B pair meets in
+    [e-2] points, where [m] = (q^m - 1)/(q - 1).
+    """
+    q, e = params.q, params.e
+    if e < 2:
         raise DomainError("twisted Grassmann graph needs e >= 2 (B degenerates at e=1)")
-    q = params.q
     A, B, _ = split_A_B(params)
     labels = A + B
-    na, nb = len(A), len(B)
-    masks = [vector_mask(w) for w in labels]
-    adj = [0] * (na + nb)
-    for i in range(na + nb):
-        mi = masks[i]
-        for j in range(i + 1, na + nb):
-            if j < na:  # A-A
-                hit = (mi & masks[j]).bit_count() == q**params.e
-            elif i < na:  # A-B: W_i contains W_j
-                hit = mask_contains(mi, masks[j])
-            else:  # B-B
-                hit = (mi & masks[j]).bit_count() == q ** (params.e - 2)
-            if hit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(labels, adj)
+    points = [gaussian_binomial(m, 1, q) for m in (e, e - 1, e - 2)]
+    targets = [[points[0], points[1]], [points[1], points[2]]]
+    classes = [0] * len(A) + [1] * len(B)
+    masks = [point_mask(w) for w in labels]
+    return pair_count_graph(labels, masks, gaussian_binomial(params.n, 1, q), targets, classes)
 
 
 @dataclass
@@ -248,7 +288,7 @@ def verify_lemma1_counts(
     q, e = params.q, params.e
     h_verts = list(_h_subspaces(params, e))
     h_index = {U: i for i, U in enumerate(h_verts)}
-    small = _graph_by_intersection_count(h_verts, q ** (e - 1))
+    small = Graph(h_verts, _grassmann_rows(h_verts))
     idx_cells = [[h_index[U] for U in cell] for cell in cells]
     eq_small = check_equitable(small, idx_cells)
     if not eq_small.equitable:
@@ -290,11 +330,11 @@ def verify_ta_rule(switched: Graph, params: Parameters, sigma: Polarity) -> TaRe
     """After switching, W1 in C_U is adjacent to W2 in D exactly when W2
     contains sigma(U)."""
     info = switching_partition(params, sigma)
-    d_masks = {i: vector_mask(switched.labels[i]) for i in info.d_indices}
+    d_masks = {i: point_mask(switched.labels[i]) for i in info.d_indices}
     checked = 0
     violations = []
     for U, members in info.cells_by_U.items():
-        sU_mask = vector_mask(apply_polarity(sigma, U))
+        sU_mask = point_mask(apply_polarity(sigma, U))
         for w1 in members:
             row = switched.adj[w1]
             for w2, m2 in d_masks.items():
@@ -339,74 +379,46 @@ class Design:
         }
 
 
-@lru_cache(maxsize=None)
-def _point_index(params: Parameters) -> dict:
-    """Map from the canonical representative vector of a projective point to its index."""
-    pts = enumerate_subspaces(params.ctx, params.n, 1)
-    return {p.basis[0]: i for i, p in enumerate(pts)}
-
-
-@lru_cache(maxsize=None)
-def _points_of(params: Parameters) -> tuple[Subspace, ...]:
-    return tuple(enumerate_subspaces(params.ctx, params.n, 1))
-
-
-def _block_of_subspace(params: Parameters, W: Subspace) -> tuple[int, ...]:
-    """Sorted point indices of [W]."""
-    ctx, q, n = params.ctx, params.q, params.n
-    index = _point_index(params)
-    reps = set()
-    m = vector_mask(W) >> 1
-    idx = 1
-    while m:
-        if m & 1:
-            reps.add(normalize_point(ctx, decode_vector(idx, q, n)))
-        m >>= 1
-        idx += 1
-    return tuple(sorted(index[r] for r in reps))
+def _block(mask: int) -> tuple[int, ...]:
+    return tuple(bits_of(mask))
 
 
 @lru_cache(maxsize=None)
 def pg_design(params: Parameters) -> Design:
     """Geometric design: points [V], one block [W] per (e+1)-subspace W of V,
     blocks in the canonical order of their generating subspaces."""
-    blocks = tuple(_block_of_subspace(params, W) for W in _all_vertices(params))
+    blocks = tuple(_block(point_mask(W)) for W in _all_vertices(params))
     if len(set(blocks)) != len(blocks):
         raise AssertionError("geometric design produced duplicate blocks")
-    return Design(params, _points_of(params), blocks, "geometric")
+    points = tuple(enumerate_subspaces(params.ctx, params.n, 1))
+    return Design(params, points, blocks, "geometric")
 
 
-def distorted_block(params: Parameters, sigma: Polarity, W: Subspace) -> tuple[int, ...]:
-    """[sigma(W cap H)] u [W \\ H] for W in A, as sorted point indices."""
-    ctx, q, n = params.ctx, params.q, params.n
-    index = _point_index(params)
+def distorted_block(params: Parameters, sigma: Polarity, W: Subspace) -> int:
+    """Point mask of [sigma(W cap H)] u [W \\ H] for W in A."""
     U = intersect_hyperplane(W)
-    pts = set(_block_of_subspace(params, apply_polarity(sigma, U)))
-    m = vector_mask(W) >> 1
-    idx = 1
-    while m:
-        if m & 1:
-            vec = decode_vector(idx, q, n)
-            if vec[n - 1] != 0:
-                pts.add(index[normalize_point(ctx, vec)])
-        m >>= 1
-        idx += 1
-    return tuple(sorted(pts))
+    return point_mask(apply_polarity(sigma, U)) | point_mask(W) & ~point_mask(_hyperplane(params))
+
+
+@lru_cache(maxsize=None)
+def _phi_masks(params: Parameters, sigma: Polarity) -> tuple[int, ...]:
+    """Point mask of phi(W) for every vertex W in canonical order: the
+    distorted block for W in A, [W] for W in D."""
+    return tuple(
+        point_mask(W) if _in_hyperplane(W) else distorted_block(params, sigma, W)
+        for W in _all_vertices(params)
+    )
 
 
 @lru_cache(maxsize=None)
 def jt_design(params: Parameters, sigma: Polarity) -> Design:
     """Distorted pseudo-geometric design: blocks A' u B', sorted by
     point set."""
-    blocks = set()
-    A, _, D = split_A_B(params)
-    for W in A:
-        blocks.add(distorted_block(params, sigma, W))
-    for W in D:
-        blocks.add(_block_of_subspace(params, W))
-    if len(blocks) != len(A) + len(D):
+    masks = _phi_masks(params, sigma)
+    if len(set(masks)) != len(masks):
         raise AssertionError("distorted design produced colliding blocks")
-    return Design(params, _points_of(params), tuple(sorted(blocks)), "pseudo-geometric")
+    points = tuple(enumerate_subspaces(params.ctx, params.n, 1))
+    return Design(params, points, tuple(sorted(map(_block, masks))), "pseudo-geometric")
 
 
 @dataclass
@@ -450,29 +462,18 @@ def design_lambda(params: Parameters) -> int:
 
 
 def block_intersection_sizes(D: Design) -> dict[int, int]:
-    """Multiset of |B1 cap B2| over all unordered block pairs."""
-    masks = D.block_masks()
-    hist: dict[int, int] = {}
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            s = (mi & masks[j]).bit_count()
-            hist[s] = hist.get(s, 0) + 1
-    return hist
+    """Multiset of |B1 cap B2| over all unordered block pairs, by size."""
+    n = len(D.blocks)
+    hist = np.zeros(D.v + 1, dtype=np.int64)
+    for lo, counts in pair_counts(D.block_masks(), D.v):
+        upper = np.arange(n) > np.arange(lo, lo + len(counts))[:, None]
+        hist += np.bincount(counts[upper], minlength=D.v + 1)
+    return {s: int(c) for s, c in enumerate(hist.tolist()) if c}
 
 
 def block_graph(D: Design, s: int) -> Graph:
     """Graph on blocks, adjacent when the point-set intersection has size s."""
-    masks = D.block_masks()
-    nb = len(masks)
-    adj = [0] * nb
-    for i in range(nb):
-        mi = masks[i]
-        for j in range(i + 1, nb):
-            if (mi & masks[j]).bit_count() == s:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(D.blocks, adj)
+    return pair_count_graph(D.blocks, D.block_masks(), D.v, [[s]], [0] * len(D.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +491,8 @@ class VertexMap:
 def phi_map(params: Parameters, sigma: Polarity) -> VertexMap:
     """phi(W) = [sigma(W cap H)] u [W \\ H] for W in A, [W] otherwise, as a map
     from the canonical (e+1)-subspace order to jt_design block indices."""
-    D = jt_design(params, sigma)
-    block_index = {b: i for i, b in enumerate(D.blocks)}
-    mapping = []
-    for W in _all_vertices(params):
-        if _in_hyperplane(W):
-            b = _block_of_subspace(params, W)
-        else:
-            b = distorted_block(params, sigma, W)
-        mapping.append(block_index[b])
+    block_index = {mask_of(b): i for i, b in enumerate(jt_design(params, sigma).blocks)}
+    mapping = [block_index[m] for m in _phi_masks(params, sigma)]
     injective = len(set(mapping)) == len(mapping)
     return VertexMap(tuple(mapping), injective)
 
@@ -509,15 +503,13 @@ def psi_map(params: Parameters, sigma: Polarity) -> VertexMap:
 
     The map is a conjectured realization; callers must confirm it with
     check_isomorphism."""
-    D = jt_design(params, sigma)
-    block_index = {b: i for i, b in enumerate(D.blocks)}
-    A, B, _ = split_A_B(params)
-    mapping = []
-    for W in A:
-        mapping.append(block_index[distorted_block(params, sigma, W)])
-    for Bsub in B:
-        img = apply_polarity(sigma, Bsub)
-        mapping.append(block_index[_block_of_subspace(params, img)])
+    block_index = {mask_of(b): i for i, b in enumerate(jt_design(params, sigma).blocks)}
+    _, B, _ = split_A_B(params)
+    a_masks = [
+        m for W, m in zip(_all_vertices(params), _phi_masks(params, sigma)) if not _in_hyperplane(W)
+    ]
+    b_masks = [point_mask(apply_polarity(sigma, Bsub)) for Bsub in B]
+    mapping = [block_index[m] for m in a_masks + b_masks]
     injective = len(set(mapping)) == len(mapping)
     return VertexMap(tuple(mapping), injective)
 

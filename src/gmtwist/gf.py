@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(q) for prime powers q <= 16, plus matrices and RREF.
+"""Exact arithmetic in GF(q) for prime powers q <= 16, plus RREF of row lists.
 
 Elements of GF(p^m) are integers in [0, q): the integer a with base-p digits
 (d_0, ..., d_{m-1}) stands for the polynomial d_0 + d_1 x + ... + d_{m-1} x^{m-1}
@@ -11,10 +11,9 @@ the field axioms are exhaustively testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ParameterError
 
@@ -141,11 +140,6 @@ class FieldContext:
         self._neg = tuple(neg)
         self._inv = tuple(inv)
 
-    def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ParameterError(f"{a!r} is not an element of GF({self.q})")
-        return a
-
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
@@ -179,51 +173,6 @@ def make_field(q: int) -> FieldContext:
     return FieldContext(q)
 
 
-def field_arithmetic(ctx: FieldContext, op: str, a: int, b: int | None = None) -> int:
-    """Dispatch a single field operation: op in {'add', 'mul', 'neg', 'inv'}."""
-    ctx.check(a)
-    if op in ("add", "mul"):
-        if b is None:
-            raise ParameterError(f"operation {op!r} needs two operands")
-        ctx.check(b)
-        return ctx.add(a, b) if op == "add" else ctx.mul(a, b)
-    if b is not None:
-        raise ParameterError(f"operation {op!r} is unary")
-    if op == "neg":
-        return ctx.neg(a)
-    if op == "inv":
-        return ctx.inv(a)
-    raise ParameterError(f"unknown field operation {op!r}")
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """Row-major matrix over a FieldContext."""
-
-    ctx: FieldContext
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        ncols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != ncols:
-                raise ParameterError("ragged matrix rows")
-            for x in row:
-                self.ctx.check(x)
-
-    @classmethod
-    def from_rows(cls, ctx: FieldContext, rows: Iterable[Iterable[int]]) -> "Matrix":
-        return cls(ctx, tuple(tuple(r) for r in rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
 def rref_rows(ctx: FieldContext, rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int, list[int]]:
     """In-place-style reduced row echelon form on a list of rows; returns (rows, rank, pivot_cols)."""
     work = [list(r) for r in rows]
@@ -249,12 +198,6 @@ def rref_rows(ctx: FieldContext, rows: list[list[int]], ncols: int) -> tuple[lis
     # zero rows last
     work = work[:rank] + [[0] * ncols for _ in range(len(work) - rank)]
     return work, rank, pivots
-
-
-def rref(M: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Unique reduced row echelon form of M, with rank and pivot columns."""
-    rows, rank, pivots = rref_rows(M.ctx, [list(r) for r in M.entries], M.ncols)
-    return Matrix.from_rows(M.ctx, rows), rank, pivots
 
 
 def rank_of_rows(ctx: FieldContext, rows: list[list[int]], ncols: int) -> int:

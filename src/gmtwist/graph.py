@@ -1,13 +1,16 @@
 """Finite simple graphs with exact spectral and switching machinery.
 
-Adjacency is stored as one Python int bitmask per vertex; equitability
-counts, GM validation, switching and isomorphism checks work on those rows
-directly.  The per-vertex certification kernels (BFS intersection arrays,
-neighbourhood clique counts and neighbourhood char polys) run instead over a
-packed numpy view of the same rows, `charpoly.packed_rows`: an
-(n, ceil(n/64)) uint64 array on which AND plus `np.bitwise_count` replaces
-the Python bit loops.  Their counts are sums of integer popcounts, so every
-result stays exact, and no kernel allocates an n x n array.
+Adjacency is stored as a tuple of Python int bitmasks, one per vertex;
+equitability counts, GM validation, switching and isomorphism checks work on
+those rows directly.  The kernels that count over many rows at once run
+instead over a packed numpy view of bitmask rows, `charpoly.packed_rows`: an
+(rows, ceil(bits/64)) uint64 array on which AND plus `np.bitwise_count`
+replaces the Python bit loops.  One word loop, `_popcount_and`, serves all of
+them: the BFS intersection arrays, the neighbourhood clique counts, and the
+pairwise intersection sizes of a family of bitmasks (`pair_counts`), from
+which the block graphs and the twisted Grassmann graph of `construct` are
+built.  Their counts are sums of integer popcounts, so every result stays
+exact, and no kernel allocates an n x n array.
 """
 
 from __future__ import annotations
@@ -23,18 +26,20 @@ from .errors import DomainError, GMHypothesisError, ParameterError
 DEFAULT_SPECTRAL_BUDGET = 2000
 # Upper bound on the bytes of one neighbourhood chunk (see _neighbourhood_stacks)
 NBHD_STACK_BYTES = 1 << 20
-# Upper bound on the bytes of one (panel roots x n) uint64 array of the BFS
-BFS_PANEL_BYTES = 1 << 16
+# Upper bound on the bytes of one (panel rows x n) uint64 array of the BFS and
+# of the pair counts
+PANEL_BYTES = 1 << 16
 
 
 class Graph:
-    """Simple graph with ordered, hashable vertex labels and bitmask adjacency rows."""
+    """Simple graph with ordered, hashable vertex labels and bitmask adjacency
+    rows, both held as tuples so that a cached graph cannot be changed."""
 
     __slots__ = ("labels", "adj", "_index")
 
     def __init__(self, labels: Sequence, adj: Sequence[int]):
         self.labels = tuple(labels)
-        self.adj = list(adj)
+        self.adj = tuple(adj)
         if len(self.labels) != len(self.adj):
             raise ParameterError("labels and adjacency rows differ in length")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -66,9 +71,6 @@ class Graph:
 
     def neighbors(self, i: int) -> list[int]:
         return bits_of(self.adj[i])
-
-    def copy(self) -> "Graph":
-        return Graph(self.labels, list(self.adj))
 
     def __eq__(self, other):
         return (
@@ -273,13 +275,6 @@ def char_poly(G: Graph, budget: int = DEFAULT_SPECTRAL_BUDGET) -> CharPoly:
     return CharPoly(char_poly_exact(G.adj, G.n))
 
 
-def cospectral(G: Graph, H: Graph, budget: int = DEFAULT_SPECTRAL_BUDGET) -> bool:
-    """Whether G and H have identical characteristic polynomials (exact)."""
-    if G.n != H.n:
-        return False
-    return char_poly(G, budget) == char_poly(H, budget)
-
-
 @dataclass
 class IntersectionArray:
     """Intersection array {b_0..b_{d-1}; c_1..c_d} of a distance-regular graph."""
@@ -308,6 +303,23 @@ def _pack_last_axis(bits: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
+def _popcount_and(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Sum over the words w of popcount(left[w] & right[w]) as int32.
+
+    The first axis of both arrays indexes packed uint64 words; the rest of
+    their shapes broadcast against each other and give the result's shape.
+    Each word adds at most 64, so the sum is exact for fewer than 2^25 words.
+    """
+    shape = np.broadcast_shapes(left.shape[1:], right.shape[1:])
+    counts = np.zeros(shape, dtype=np.int32)
+    pair = np.empty(shape, dtype=np.uint64)
+    ones = np.empty(shape, dtype=np.uint8)
+    for w in range(left.shape[0]):
+        np.bitwise_and(left[w], right[w], out=pair)
+        counts += np.bitwise_count(pair, out=ones)
+    return counts
+
+
 def _panel_bfs(cols: np.ndarray, roots: np.ndarray):
     """BFS from every root of a panel at once over the packed view of G.
 
@@ -324,8 +336,6 @@ def _panel_bfs(cols: np.ndarray, roots: np.ndarray):
     c = np.zeros((P, n), dtype=np.int32)
     b = np.zeros((P, n), dtype=np.int32)
     counts = ((cols[roots >> 6] >> (roots & 63).astype(np.uint64)[:, None]) & 1).astype(np.int32)
-    pair = np.empty((P, n), dtype=np.uint64)
-    ones = np.empty((P, n), dtype=np.uint8)
     j = 0
     while True:
         if j:
@@ -337,10 +347,7 @@ def _panel_bfs(cols: np.ndarray, roots: np.ndarray):
         dist[frontier] = j
         np.copyto(c, counts, where=frontier)
         layer = _pack_last_axis(frontier)
-        counts = np.zeros((P, n), dtype=np.int32)
-        for w in range(cols.shape[0]):
-            np.bitwise_and(layer[:, w, None], cols[w], out=pair)
-            counts += np.bitwise_count(pair, out=ones)
+        counts = _popcount_and(layer.T[:, :, None], cols[:, None, :])
 
 
 def intersection_array(G: Graph) -> DRGResult:
@@ -350,7 +357,7 @@ def intersection_array(G: Graph) -> DRGResult:
     The BFS runs over the packed view `packed_rows(G.adj, n)`, an (n, W)
     uint64 array with W = ceil(n/64), for a panel of roots at once (see
     `_panel_bfs`); a panel holds as many roots as keep one (roots x n) uint64
-    array within BFS_PANEL_BYTES, so no n x n array is allocated.  Every
+    array within PANEL_BYTES, so no n x n array is allocated.  Every
     count is a sum of integer popcounts bounded by n, so the result is exact.
 
     The expected values are those of the lowest vertex of each layer of root
@@ -368,7 +375,7 @@ def intersection_array(G: Graph) -> DRGResult:
     first = [int(np.argmax(dist[0] == j)) for j in range(d + 1)]
     c_exp = c[0, first]
     b_exp = b[0, first]
-    step = max(1, BFS_PANEL_BYTES // (8 * n))
+    step = max(1, PANEL_BYTES // (8 * n))
     for lo in range(0, n, step):
         roots = np.arange(lo, min(n, lo + step))
         dist, c, b = _panel_bfs(cols, roots)
@@ -392,6 +399,38 @@ def intersection_array(G: Graph) -> DRGResult:
         return DRGResult(False, None, (root, v, j, "b", int(b[i, v]), int(b_exp[j])))
     arr = IntersectionArray(d, tuple(b_exp[:d].tolist()), tuple(c_exp[1:].tolist()))
     return DRGResult(True, arr, None)
+
+
+def pair_counts(masks: Sequence[int], nbits: int):
+    """Yield (lo, counts) over panels of consecutive masks: counts[i, j] =
+    |masks[lo + i] & masks[j]|, an int32 (P, len(masks)) array.
+
+    The masks are bitmasks of at most nbits bits, packed into ceil(nbits/64)
+    uint64 words by `packed_rows`; a panel holds as many rows as keep one
+    (rows x len(masks)) uint64 array within PANEL_BYTES.
+    """
+    n = len(masks)
+    cols = np.ascontiguousarray(packed_rows(masks, nbits).T)
+    step = max(1, PANEL_BYTES // (8 * max(n, 1)))
+    for lo in range(0, n, step):
+        yield lo, _popcount_and(cols[:, lo : lo + step, None], cols[:, None, :])
+
+
+def pair_count_graph(
+    labels: Sequence, masks: Sequence[int], nbits: int, targets, classes: Sequence[int]
+) -> Graph:
+    """Graph on labels in which i != j are adjacent when |masks[i] & masks[j]|
+    equals targets[classes[i]][classes[j]] (see `pair_counts`)."""
+    targets = np.asarray(targets)
+    classes = np.asarray(classes, dtype=np.intp)
+    adj: list[int] = []
+    for lo, counts in pair_counts(masks, nbits):
+        rows = np.arange(lo, lo + len(counts))
+        hits = counts == targets[classes[rows, None], classes[None, :]]
+        hits[np.arange(len(rows)), rows] = False
+        packed = np.packbits(hits, axis=1, bitorder="little")
+        adj += [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return Graph(labels, adj)
 
 
 @dataclass
@@ -454,13 +493,8 @@ def _clique_counts(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each triangle of H[i] six times.
     """
     rows = _pack_last_axis(H)
-    common = np.zeros(H.shape, dtype=np.int32)
-    pair = np.empty(H.shape, dtype=np.uint64)
-    ones = np.empty(H.shape, dtype=np.uint8)
-    for w in range(rows.shape[2]):
-        word = rows[:, :, w]
-        np.bitwise_and(word[:, :, None], word[:, None, :], out=pair)
-        common += np.bitwise_count(pair, out=ones)
+    words = np.moveaxis(rows, -1, 0)
+    common = _popcount_and(words[..., :, None], words[..., None, :])
     edges = np.bitwise_count(rows).sum(axis=(1, 2), dtype=np.int64) // 2
     common *= H
     triangles = common.sum(axis=(1, 2), dtype=np.int64) // 6

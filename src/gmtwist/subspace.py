@@ -1,10 +1,10 @@
 """Canonical subspaces of GF(q)^n and the symplectic polarity of a hyperplane.
 
 A subspace is identified with its reduced-row-echelon basis, so equality,
-hashing and ordering are purely structural.  Vector sets are cached as bitmask
-integers over the q^n ambient vectors, which makes intersection dimensions,
-containment tests and projective point sets cheap enough for exhaustive
-verification at the certified parameters.
+hashing and ordering are purely structural.  Its projective points are cached
+as one bitmask integer, `point_mask`: bit i marks the i-th point of
+GF(q)^ambient in canonical order.  Point-set intersections, containment and
+the blocks of the designs are bit operations on these masks.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import combinations, product
 from math import prod
 
 from .errors import BudgetExceededError, DomainError, ParameterError
-from .gf import FieldContext, Matrix, rank_of_rows, rref_rows
+from .gf import FieldContext, rank_of_rows, rref_rows
 
 DEFAULT_ENUM_BUDGET = 10**7
 
@@ -46,25 +46,8 @@ class Subspace:
         return [list(r) for r in self.basis]
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Sorted, duplicate-free set of projective points (1-dim subspaces) of GF(q)^ambient."""
-
-    ambient: int
-    points: tuple[Subspace, ...]
-
-    def __len__(self):
-        return len(self.points)
-
-
-def canonicalize(vectors: Matrix) -> Subspace:
-    """Subspace spanned by the rows of `vectors`, in canonical RREF form."""
-    rows, rank, _ = rref_rows(vectors.ctx, [list(r) for r in vectors.entries], vectors.ncols)
-    return Subspace(vectors.ctx, vectors.ncols, tuple(tuple(r) for r in rows[:rank]))
-
-
 def span(ctx: FieldContext, rows: list[list[int]], ambient: int) -> Subspace:
-    """Same as canonicalize but from raw rows."""
+    """Subspace spanned by `rows`, in canonical RREF form."""
     rr, rank, _ = rref_rows(ctx, rows, ambient)
     return Subspace(ctx, ambient, tuple(tuple(r) for r in rr[:rank]))
 
@@ -144,77 +127,44 @@ def enumerate_subspaces(
     return out
 
 
-def encode_vector(vec: tuple[int, ...] | list[int], q: int) -> int:
-    idx = 0
-    for c in reversed(vec):
-        idx = idx * q + c
-    return idx
-
-
-def decode_vector(idx: int, q: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(idx % q)
-        idx //= q
-    return tuple(out)
+def _point_index(q: int, vec: list[int]) -> int:
+    """Index of the projective point of a vector whose first nonzero entry is 1,
+    in canonical order: the points with their leading 1 further right come
+    first, and points with the same leading position are in the lexicographic
+    order of the entries after it."""
+    lead = next(j for j, x in enumerate(vec) if x)
+    index = 0
+    for x in vec[lead + 1 :]:
+        index = index * q + x
+    return (q ** (len(vec) - 1 - lead) - 1) // (q - 1) + index
 
 
 @lru_cache(maxsize=None)
-def vector_mask(S: Subspace) -> int:
-    """Bitmask over the q^ambient vector indices marking every vector of S (zero included)."""
-    ctx, q, n = S.ctx, S.ctx.q, S.ambient
+def point_mask(W: Subspace) -> int:
+    """Bitmask over the projective points of GF(q)^ambient marking the points of W.
+
+    With an RREF basis, a combination whose first nonzero coefficient is 1
+    already has leading entry 1 (every later row is zero up to its own, later,
+    pivot), so each point of W is hit exactly once by row + (a vector of the
+    span of the rows below it), and nothing needs normalising.
+    """
+    ctx, q = W.ctx, W.ctx.q
     mask = 0
-    for coeffs in product(range(q), repeat=S.dim):
-        vec = [0] * n
-        for c, row in zip(coeffs, S.basis):
-            if c:
-                for j in range(n):
-                    if row[j]:
-                        vec[j] = ctx.add(vec[j], ctx.mul(c, row[j]))
-        mask |= 1 << encode_vector(vec, q)
+    below = [[0] * W.ambient]  # the vectors of the span of the rows below
+    for a in reversed(range(W.dim)):
+        row = W.basis[a]
+        for v in below:
+            mask |= 1 << _point_index(q, [ctx.add(x, y) for x, y in zip(row, v)])
+        if a:
+            below = [
+                [ctx.add(ctx.mul(c, x), y) for x, y in zip(row, v)] for c in range(q) for v in below
+            ]
     return mask
 
 
-def dim_from_vector_count(count: int, q: int) -> int:
-    """Inverse of count = q^d; count must be an exact power of q."""
-    d = 0
-    while count > 1:
-        assert count % q == 0
-        count //= q
-        d += 1
-    return d
-
-
 def mask_contains(U_mask: int, W_mask: int) -> bool:
-    """Whether the vector set W is contained in the vector set U."""
+    """Whether the point set W is contained in the point set U."""
     return W_mask & ~U_mask == 0
-
-
-def normalize_point(ctx: FieldContext, vec: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical representative of the projective point through vec: leading coefficient 1."""
-    lead = next((x for x in vec if x != 0), None)
-    if lead is None:
-        raise ParameterError("zero vector spans no projective point")
-    if lead == 1:
-        return tuple(vec)
-    inv = ctx.inv(lead)
-    return tuple(ctx.mul(inv, x) for x in vec)
-
-
-def projective_points(W: Subspace) -> PointSet:
-    """All 1-dim subspaces of W, sorted canonically."""
-    ctx, q, n = W.ctx, W.ctx.q, W.ambient
-    reps = set()
-    mask = vector_mask(W)
-    m = mask >> 1  # skip zero vector
-    idx = 1
-    while m:
-        if m & 1:
-            reps.add(normalize_point(ctx, decode_vector(idx, q, n)))
-        m >>= 1
-        idx += 1
-    pts = sorted(Subspace(ctx, n, (rep,)) for rep in reps)
-    return PointSet(n, tuple(pts))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,8 @@ from gmtwist.certify import (
     validate_certificate,
 )
 from gmtwist.cli import main
+from gmtwist.construct import Design, VertexMap
+from gmtwist.graph import Graph
 from gmtwist.graphio import from_graph6
 
 
@@ -199,6 +202,24 @@ def test_cli_budget_exhaustion(tmp_path):
     assert main(["build", "grassmann", "--q", "4", "--e", "3", "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "", "1.5"])
+def test_cli_rejects_bad_budget_env_var(value, monkeypatch, capsys):
+    # exit 1 means a verified claim failed; a bad budget is a usage error
+    monkeypatch.setenv("GMTWIST_BUDGET", value)
+    assert main(["certify", "--q", "2", "--e", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: GMTWIST_BUDGET must be an integer >= 0")
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1e3"])
+def test_cli_rejects_bad_budget_flag(value, monkeypatch, capsys):
+    # the flag wins over a valid env var, and is checked the same way
+    monkeypatch.setenv("GMTWIST_BUDGET", "100")
+    assert main(["certify", "--q", "2", "--e", "2", "--budget", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --budget must be an integer >= 0")
+
+
 def test_cli_budget_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("GMTWIST_BUDGET", "100")
     out = tmp_path / "c.json"
@@ -206,3 +227,80 @@ def test_cli_budget_env_var(tmp_path, monkeypatch):
     assert rc == 0
     cert = json.loads(out.read_text())
     assert cert["cospectrality"]["method"] == "intersection-array"
+
+
+# sha256 of the (2,2) build outputs, recorded at the commit before the
+# construction layer moved to projective-point masks and popcount pair panels
+PINNED_BUILDS_22 = {
+    ("grassmann", "graph6"): "1cbb11811fec2318160e6fdb5a6eb68ef792edcd58bdfd71726b7f0e153a3a57",
+    ("grassmann", "labels"): "0115fbccbd1224b0c6c165c862ab5f857d9b263c534683342b8c40e2c320f13b",
+    ("twisted", "graph6"): "06436300e8e1e4309ca870920e45cf38eb14e231ca0544db9ee351f743d29d23",
+    ("twisted", "labels"): "0860fbcbaa75c846825b7f1b76392c3ae6b4514ae8756f56382e7ea444363a00",
+    ("block-graph", "graph6"): "74d687944ca01bff0558efafc1ba0b5454858e2edc8ea5cfa391b3e76418b44a",
+    ("block-graph", "labels"): "adf42f1a85ad6dcd196d79a5234dbcbaf3081f2a4669335086a55fe8595c8868",
+    ("pg-design", "json"): "ac81c7ce321ccd870a5ec81c8efd1c4275bd33b229e005313d617272193781d5",
+    ("jt-design", "json"): "4449c84f141cac35a74889043be4a97966fe27e8f1a54039c6dd738aa62d5b67",
+}
+
+
+@pytest.mark.parametrize("kind", ["grassmann", "twisted", "block-graph", "pg-design", "jt-design"])
+def test_cli_build_outputs_pinned(kind, tmp_path):
+    out = tmp_path / "out"
+    fmt = "json" if kind.endswith("design") else "graph6"
+    assert main(["build", kind, "--q", "2", "--e", "2", "--out", str(out), "--format", fmt]) == 0
+    files = {fmt: out}
+    if fmt == "graph6":
+        files["labels"] = tmp_path / "out.labels.json"
+    for name, path in files.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_BUILDS_22[(kind, name)]
+
+
+# Negative controls: one tampered input must turn its verdict from pass to fail.
+
+
+def _tampered_certificate(monkeypatch, name, tamper):
+    original = getattr(certify_mod, name)
+    monkeypatch.setattr(certify_mod, name, lambda *args: tamper(original(*args)))
+    return run_certification(2, 2, skip_charpoly=True, invariant="clique-counts")
+
+
+def test_flipped_grassmann_bit_fails_block_graph_identity(monkeypatch):
+    def flip(G):
+        u, v = 0, 1 if not G.has_edge(0, 1) else 2
+        rows = list(G.adj)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        return Graph(G.labels, rows)
+
+    cert = _tampered_certificate(monkeypatch, "canonical_grassmann", flip)
+    assert cert["isomorphisms"]["block_graph_identity"] == "fail"
+    assert cert["overall"] == "fail"
+
+
+def test_moved_point_fails_geometric_design_and_identity(monkeypatch):
+    def move(D):
+        block = D.blocks[0]
+        outside = next(p for p in range(D.v) if p not in block)
+        moved = tuple(sorted(block[1:] + (outside,)))
+        return Design(D.params, D.points, (moved,) + D.blocks[1:], D.provenance)
+
+    cert = _tampered_certificate(monkeypatch, "pg_design", move)
+    assert cert["designs"]["geometric"]["verdict"] == "fail"
+    assert cert["isomorphisms"]["block_graph_identity"] == "fail"
+    assert cert["overall"] == "fail"
+
+
+def test_swapped_phi_entries_fail_phi(monkeypatch):
+    def swap(phi):
+        mapping = list(phi.mapping)
+        mapping[0], mapping[1] = mapping[1], mapping[0]
+        return VertexMap(tuple(mapping), phi.injective)
+
+    cert = _tampered_certificate(monkeypatch, "phi_map", swap)
+    assert cert["isomorphisms"]["phi"] == "fail"
+    assert cert["overall"] == "fail"
+    # the untampered run passes the same verdicts
+    monkeypatch.undo()
+    clean = run_certification(2, 2, skip_charpoly=True, invariant="clique-counts")
+    assert clean["isomorphisms"] == {"block_graph_identity": "pass", "phi": "pass", "psi": "pass"}
+    assert clean["designs"]["geometric"]["verdict"] == "pass"

@@ -1,5 +1,8 @@
 import pytest
 
+import gmtwist.construct as construct_mod
+import gmtwist.graph as graph_mod
+import gmtwist.subspace as subspace_mod
 from gmtwist.construct import (
     Parameters,
     block_graph,
@@ -14,6 +17,7 @@ from gmtwist.construct import (
     phi_map,
     psi_map,
     split_A_B,
+    standard_polarity,
     switching_partition,
     twisted_grassmann,
     verify_2_design,
@@ -21,13 +25,15 @@ from gmtwist.construct import (
     verify_ta_rule,
 )
 from gmtwist.errors import DomainError, ParameterError
-from gmtwist.graph import check_equitable, check_isomorphism, gm_switch, validate_gm
+from gmtwist.graph import check_equitable, check_isomorphism, gm_switch, mask_of, validate_gm
 from gmtwist.subspace import (
     apply_polarity,
     contains,
     dim_intersection,
     enumerate_subspaces,
     gaussian_binomial,
+    mask_contains,
+    point_mask,
 )
 
 
@@ -152,11 +158,11 @@ def test_lemma1_rejects_non_equitable(params22, info22):
 def test_pre_switch_rule(G22, params22, sigma22, info22):
     # before switching, W1 in C_U is adjacent to W2 in D exactly when W2
     # contains U itself (not sigma(U))
-    from gmtwist.subspace import mask_contains, vector_mask
+    from gmtwist.subspace import mask_contains, point_mask
 
-    d_masks = {i: vector_mask(G22.labels[i]) for i in info22.d_indices}
+    d_masks = {i: point_mask(G22.labels[i]) for i in info22.d_indices}
     for U, members in info22.cells_by_U.items():
-        u_mask = vector_mask(U)
+        u_mask = point_mask(U)
         for w1 in members:
             for w2, m2 in d_masks.items():
                 assert bool(G22.adj[w1] >> w2 & 1) == mask_contains(m2, u_mask)
@@ -295,7 +301,123 @@ def test_psi_restricted_to_A_matches_phi(params22, sigma22):
 
 
 def test_distorted_block_shape(params22, sigma22):
+    # the points of sigma(W cap H), and the points of W off H, by containment
     A, _, _ = split_A_B(params22)
+    points = enumerate_subspaces(params22.ctx, 5, 1)
     for W in A[:25]:
+        sU = apply_polarity(sigma22, intersect_hyperplane(W))
+        want = [
+            i for i, P in enumerate(points)
+            if contains(sU, P) or (contains(W, P) and P.basis[0][-1] != 0)
+        ]
         b = distorted_block(params22, sigma22, W)
-        assert len(b) == 7 and b == tuple(sorted(b))
+        assert len(want) == 7 and b == mask_of(want)
+
+
+# ---------------------------------------------------------------------------
+# the Grassmann adjacency: a clique route independent of the point masks
+
+
+def _grassmann_by_definition(verts):
+    """Adjacency rows: W1 != W2 adjacent when dim(W1 cap W2) = k - 1, by rank."""
+    k = verts[0].dim
+    return [
+        mask_of(j for j, W2 in enumerate(verts) if j != i and dim_intersection(W1, W2) == k - 1)
+        for i, W1 in enumerate(verts)
+    ]
+
+
+@pytest.mark.parametrize("n,k,q", [(4, 2, 2), (4, 2, 3), (5, 3, 2)])
+def test_grassmann_clique_route_matches_definition(n, k, q):
+    G = grassmann(n, k, q)
+    assert list(G.adj) == _grassmann_by_definition(G.labels)
+    assert G.is_regular()
+    assert G.degree(0) == q * gaussian_binomial(k, 1, q) * gaussian_binomial(n - k, 1, q)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_lemma1_small_graph_matches_definition(q, monkeypatch):
+    # lemma 1's J_q(2e, e) on the e-subspaces of H, embedded in V
+    params = Parameters(q, 2)
+    built = []
+    real = construct_mod._grassmann_rows
+
+    def spy(verts):
+        rows = real(verts)
+        built.append((verts, rows))
+        return rows
+
+    monkeypatch.setattr(construct_mod, "_grassmann_rows", spy)
+    info = switching_partition(params, standard_polarity(params))
+    assert verify_lemma1_counts(params, [sorted(info.cells_by_U)]).ok
+    [(verts, rows)] = [(verts, rows) for verts, rows in built if verts[0].dim == 2]
+    assert len(verts) == gaussian_binomial(4, 2, q) and all(W.ambient == 5 for W in verts)
+    assert rows == _grassmann_by_definition(verts)
+
+
+def test_criterion_6_grassmann_uses_no_point_mask_or_pair_kernel(monkeypatch):
+    # the block-graph identity compares the pair kernel over point masks with
+    # this graph, so it must be built without either
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Grassmann adjacency used a point mask or the pair kernel")
+
+    for module in (construct_mod, graph_mod, subspace_mod):
+        for name in ("point_mask", "pair_counts", "pair_count_graph"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    canonical_grassmann.cache_clear()
+    try:
+        G2 = canonical_grassmann(Parameters(2, 2))
+        G3 = canonical_grassmann(Parameters(3, 2))
+    finally:
+        canonical_grassmann.cache_clear()
+    assert (G2.n, G2.degree(0)) == (155, 42) and G2.is_regular()
+    assert (G3.n, G3.degree(0)) == (1210, 156) and G3.is_regular()
+    assert list(G2.adj) == _grassmann_by_definition(G2.labels)
+    monkeypatch.undo()
+    assert G2.adj == block_graph(pg_design(Parameters(2, 2)), 3).adj
+    assert G3.adj == block_graph(pg_design(Parameters(3, 2)), 4).adj
+
+
+# the pair loops that built the twisted graph and the block-intersection
+# histogram before the pair kernel, kept as references
+
+
+def _reference_twisted_rows(params):
+    e = params.e
+    A, B, _ = split_A_B(params)
+    masks = [point_mask(w) for w in A + B]
+    na = len(A)
+    adj = [0] * len(masks)
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            common = (masks[i] & masks[j]).bit_count()
+            if j < na:  # A-A
+                hit = common == gaussian_binomial(e, 1, params.q)
+            elif i < na:  # A-B: W_i contains W_j
+                hit = mask_contains(masks[i], masks[j])
+            else:  # B-B
+                hit = common == gaussian_binomial(e - 2, 1, params.q)
+            if hit:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def _reference_histogram(D):
+    masks = D.block_masks()
+    hist = {}
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            s = (masks[i] & masks[j]).bit_count()
+            hist[s] = hist.get(s, 0) + 1
+    return hist
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pair_kernel_constructions_match_pair_loops(q):
+    params = Parameters(q, 2)
+    sigma = standard_polarity(params)
+    assert list(twisted_grassmann(params).adj) == _reference_twisted_rows(params)
+    for D in (pg_design(params), jt_design(params, sigma)):
+        assert block_intersection_sizes(D) == _reference_histogram(D)

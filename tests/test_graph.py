@@ -1,6 +1,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,10 +19,11 @@ from gmtwist.graph import (
     char_poly,
     check_equitable,
     check_isomorphism,
-    cospectral,
     gm_switch,
     intersection_array,
     mask_of,
+    pair_count_graph,
+    pair_counts,
     validate_gm,
     vertex_invariant_distribution,
     vertex_invariants,
@@ -42,10 +44,10 @@ def _complete(n):
 
 def test_build_graph_basics():
     K3 = _complete(3)
-    assert K3.adj == [0b110, 0b101, 0b011]
+    assert K3.adj == (0b110, 0b101, 0b011)
     assert K3.is_regular() and K3.degree(0) == 2 and K3.edge_count() == 3
     empty = build_graph(range(4), lambda u, v: False)
-    assert empty.adj == [0, 0, 0, 0] and empty.edge_count() == 0
+    assert empty.adj == (0, 0, 0, 0) and empty.edge_count() == 0
     with pytest.raises(ParameterError):
         build_graph(["a", "a"], lambda u, v: False)
 
@@ -160,7 +162,7 @@ def test_gm_switch_random_instances_involution_and_cospectral():
         H = gm_switch(G, P)
         assert apply_gm_switch(G, P) == H  # the checked switch is validate + apply
         assert gm_switch(H, P) == G  # involution
-        assert cospectral(G, H)  # switching preserves the spectrum
+        assert char_poly(G) == char_poly(H)  # switching preserves the spectrum
 
 
 def test_intersection_array():
@@ -402,7 +404,7 @@ def test_intersection_array_panel_boundaries(n, monkeypatch):
     expected = [_assert_matches_reference(G) for G in graphs]
     assert [r.failure[:4:3] for r in expected[-2:]] == [(n - 2, "b"), (n - 1, "diameter")]
     for panel_bytes in (1, 8 * n * 2, 8 * n * 7 + 5):
-        monkeypatch.setattr(graph_mod, "BFS_PANEL_BYTES", panel_bytes)
+        monkeypatch.setattr(graph_mod, "PANEL_BYTES", panel_bytes)
         for G, want in zip(graphs, expected):
             got = intersection_array(G)
             assert (got.is_drg, got.array, got.failure) == (want.is_drg, want.array, want.failure)
@@ -498,9 +500,10 @@ def test_local_spectra_separate_the_two_orbits(G22, switched22, info22):
 
 def test_flipped_edge_changes_char_poly_and_local_spectra(switched22):
     u, v = 0, bits_of(switched22.adj[0])[0]
-    tampered = switched22.copy()
-    tampered.adj[u] ^= 1 << v
-    tampered.adj[v] ^= 1 << u
+    rows = list(switched22.adj)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    tampered = Graph(switched22.labels, rows)
     assert char_poly(tampered) != char_poly(switched22)
     assert (
         vertex_invariant_distribution(tampered).counts
@@ -554,19 +557,110 @@ def test_check_isomorphism():
 def test_char_poly_and_cospectral():
     K3 = _complete(3)
     assert char_poly(K3).coeffs == (-2, -3, 0, 1)
-    assert cospectral(K3, K3)
-    assert cospectral(K3, _cycle(3))
-    assert not cospectral(K3, _graph_from_edges(3, {(0, 1)}))
-    assert not cospectral(K3, _complete(4))
+    assert char_poly(K3) == char_poly(K3)
+    assert char_poly(K3) == char_poly(_cycle(3))
+    assert char_poly(K3) != char_poly(_graph_from_edges(3, {(0, 1)}))
+    assert char_poly(K3) != char_poly(_complete(4))
+    # K_{1,4} and C_4 plus an isolated vertex: the classic cospectral pair
+    star = _graph_from_edges(5, {(0, 1), (0, 2), (0, 3), (0, 4)})
+    c4_k1 = _graph_from_edges(5, {(0, 1), (1, 2), (2, 3), (3, 0)})
+    assert char_poly(star) == char_poly(c4_k1)
     from gmtwist.errors import BudgetExceededError
 
     with pytest.raises(BudgetExceededError):
         char_poly(_complete(10), budget=5)
 
 
-def test_graph_equality_and_copy():
+def test_graph_equality_and_immutability():
     K3 = _complete(3)
-    cp = K3.copy()
+    rows = list(K3.adj)
+    cp = Graph(K3.labels, rows)
     assert cp == K3 and cp is not K3
+    rows[0] = 0  # the graph holds its own tuple of rows
+    assert cp == K3 and isinstance(cp.adj, tuple)
     assert K3.index(1) == 1
     assert K3.has_edge(0, 1) and not K3.has_edge(0, 0)
+    with pytest.raises(TypeError):
+        K3.adj[0] ^= 2
+
+
+def test_cached_grassmann_rejects_item_assignment():
+    params = Parameters(2, 2)
+    G = canonical_grassmann(params)
+    before = G.adj[0]
+    with pytest.raises(TypeError):
+        G.adj[0] ^= 2
+    assert canonical_grassmann(params).adj[0] == before
+
+
+# ---------------------------------------------------------------------------
+# pair kernel: the Python pair loops it replaced are the references
+
+
+def _reference_pair_graph(masks, target):
+    """Adjacency rows: i != j adjacent when |masks[i] & masks[j]| == target(i, j)."""
+    n = len(masks)
+    adj = [0] * n
+    for i in range(n):
+        mi = masks[i]
+        for j in range(i + 1, n):
+            if (mi & masks[j]).bit_count() == target(i, j):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def _reference_pair_counts(masks):
+    return [[(a & b).bit_count() for b in masks] for a in masks]
+
+
+@st.composite
+def mask_families(draw):
+    nbits = draw(st.sampled_from([1, 7, 63, 64, 65, 130]) | st.integers(1, 200))
+    n = draw(st.integers(0, 40))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    masks = [sum(1 << b for b in range(nbits) if rng.random() < density) for _ in range(n)]
+    return nbits, masks
+
+
+def _panels(masks, nbits):
+    got = []
+    for lo, counts in pair_counts(masks, nbits):
+        assert lo == len(got) and counts.dtype == np.int32
+        got += counts.tolist()
+    return got
+
+
+def _check_pair_kernel(masks, nbits):
+    n = len(masks)
+    classes = [(i * 7) % 2 for i in range(n)]
+    targets = [[1, 2], [2, 0]]
+    want_graph = _reference_pair_graph(masks, lambda i, j: targets[classes[i]][classes[j]])
+    assert _panels(masks, nbits) == _reference_pair_counts(masks)
+    G = pair_count_graph(range(n), masks, nbits, targets, classes)
+    assert G.adj == tuple(want_graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mask_families(), st.sampled_from([1, 2, 3, None]))
+def test_pair_kernel_matches_pair_loops(family, rows_per_panel):
+    nbits, masks = family
+    # a bound of one byte gives panels of one row; 8n k bytes, k rows
+    old = graph_mod.PANEL_BYTES
+    if rows_per_panel is not None:
+        graph_mod.PANEL_BYTES = 1 if rows_per_panel == 1 else 8 * len(masks) * rows_per_panel + 5
+    try:
+        _check_pair_kernel(masks, nbits)
+    finally:
+        graph_mod.PANEL_BYTES = old
+
+
+@pytest.mark.parametrize("nbits", [63, 64, 65])
+def test_pair_kernel_panel_splits_at_word_boundaries(nbits, monkeypatch):
+    rng = random.Random(nbits)
+    masks = [rng.getrandbits(nbits) for _ in range(37)]
+    masks += [(1 << nbits) - 1, 1 << (nbits - 1), 0]
+    for panel_bytes in (1, 8 * len(masks), 8 * len(masks) * 4, 8 * len(masks) * 7 + 3, 1 << 16):
+        monkeypatch.setattr(graph_mod, "PANEL_BYTES", panel_bytes)
+        _check_pair_kernel(masks, nbits)

@@ -30,7 +30,7 @@ def test_graph6_roundtrip_sizes(n):
 def test_graph6_roundtrip_large(G22):
     data = to_graph6(G22)
     H = from_graph6(data)
-    assert H.n == 155 and H.adj == list(G22.adj)
+    assert H.n == 155 and H.adj == G22.adj
 
 
 def test_graph6_known_values():

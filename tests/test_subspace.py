@@ -1,39 +1,37 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from gmtwist.errors import BudgetExceededError, DomainError, ParameterError
-from gmtwist.gf import Matrix, make_field
+from gmtwist.gf import make_field
 from gmtwist.subspace import (
     Polarity,
     Subspace,
     apply_polarity,
-    canonicalize,
     contains,
-    decode_vector,
     dim_intersection,
     enumerate_subspaces,
     gaussian_binomial,
     is_totally_isotropic,
     make_polarity,
     make_polarity_from_gram,
-    projective_points,
+    mask_contains,
+    point_mask,
     span,
     subspace_sum,
-    vector_mask,
 )
 
 
 def test_canonicalize_examples():
     ctx = make_field(2)
-    S = canonicalize(Matrix.from_rows(ctx, [[1, 1, 0], [0, 1, 1]]))
+    S = span(ctx, [[1, 1, 0], [0, 1, 1]], 3)
     assert S.basis == ((1, 0, 1), (0, 1, 1)) and S.dim == 2
 
-    Z = canonicalize(Matrix.from_rows(ctx, [[0, 0, 0]]))
+    Z = span(ctx, [[0, 0, 0]], 3)
     assert Z.dim == 0 and Z.basis == ()
 
-    F = canonicalize(Matrix.from_rows(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    F = span(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     assert F.dim == 3 and F.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -52,12 +50,13 @@ def test_canonicalize_invariant_under_basis_change():
         assert span(ctx, [r1, r2], 4) == base
 
 
-def _dim_by_vectors(U, W):
-    count = (vector_mask(U) & vector_mask(W)).bit_count()
+def _dim_by_points(U, W):
+    """d with [d] = (q^d - 1)/(q - 1) common points."""
+    count = (point_mask(U) & point_mask(W)).bit_count()
     d = 0
-    while count > 1:
-        count //= U.ctx.q
+    while gaussian_binomial(d, 1, U.ctx.q) < count:
         d += 1
+    assert gaussian_binomial(d, 1, U.ctx.q) == count
     return d
 
 
@@ -75,7 +74,7 @@ def test_dim_intersection_examples():
     W1 = span(ctx, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]], 5)
     W2 = span(ctx, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0]], 5)
     assert dim_intersection(W1, W2) == 2
-    assert _dim_by_vectors(W1, W2) == 2  # brute-force vector-set oracle
+    assert _dim_by_points(W1, W2) == 2  # brute-force point-set oracle
 
 
 def test_dim_intersection_ambient_mismatch():
@@ -93,8 +92,9 @@ def test_sum_and_contains():
     S = subspace_sum(U, W)
     assert S.dim == 3 and contains(S, U) and contains(S, W)
     assert not contains(U, W)
-    # vector-set oracle: the sum's vectors include every vector of both sides
-    assert vector_mask(U) | vector_mask(W) == vector_mask(U) | vector_mask(W) & vector_mask(S)
+    # point-set oracle: the sum's points include every point of both sides
+    assert mask_contains(point_mask(S), point_mask(U) | point_mask(W))
+    assert not mask_contains(point_mask(U), point_mask(W))
 
     p1 = span(ctx, [[1, 0, 0, 0]], 4)
     p2 = span(ctx, [[0, 0, 0, 1]], 4)
@@ -114,7 +114,7 @@ def test_modular_law_random():
 
 def _brute_force_2_subspaces_gf2_dim4():
     ctx = make_field(2)
-    vecs = [decode_vector(i, 2, 4) for i in range(1, 16)]
+    vecs = [v for v in product(range(2), repeat=4) if any(v)]
     found = set()
     for a, b in combinations(vecs, 2):
         S = span(ctx, [list(a), list(b)], 4)
@@ -161,15 +161,31 @@ def test_gaussian_binomial_product_formula():
 def test_projective_points():
     ctx = make_field(2)
     zero = span(ctx, [], 3)
-    assert len(projective_points(zero)) == 0
+    assert point_mask(zero) == 0
     line = span(ctx, [[1, 1, 0]], 3)
-    pts = projective_points(line)
-    assert len(pts) == 1 and pts.points[0] == line
+    points = enumerate_subspaces(ctx, 3, 1)
+    assert point_mask(line) == 1 << points.index(line)
     full = span(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
-    assert len(projective_points(full)) == 7
+    assert point_mask(full) == (1 << 7) - 1
     # over GF(3) a plane has (9-1)/2 = 4 points
     plane3 = span(make_field(3), [[1, 0, 0], [0, 1, 0]], 3)
-    assert len(projective_points(plane3)) == 4
+    assert point_mask(plane3).bit_count() == 4
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (5, 3), (9, 2)])
+def test_point_mask_is_containment_in_canonical_point_order(q, n):
+    # bit i of point_mask(W) is set exactly when the i-th point in
+    # enumerate_subspaces order lies in W, for subspaces of every dimension
+    ctx = make_field(q)
+    points = enumerate_subspaces(ctx, n, 1)
+    assert [point_mask(P) for P in points] == [1 << i for i in range(len(points))]
+    rng = random.Random(q * 100 + n)
+    for k in range(n + 1):
+        subs = enumerate_subspaces(ctx, n, k)
+        for W in rng.sample(subs, min(len(subs), 20)):
+            want = sum(1 << i for i, P in enumerate(points) if contains(W, P))
+            assert point_mask(W) == want
+            assert want.bit_count() == gaussian_binomial(k, 1, q)
 
 
 # ---------------------------------------------------------------------------
