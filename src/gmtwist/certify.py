@@ -262,7 +262,7 @@ def run_certification(
         dist_s = vertex_invariant_distribution(switched, chosen)
         cert["transitivity_evidence"] = {
             "invariant": dist_g.invariant,
-            "fallback_used": dist_g.fallback_used or chosen != invariant,
+            "fallback_used": chosen != invariant,
             "original_distinct": dist_g.distinct,
             "switched_distinct": dist_s.distinct,
             "switched_class_sizes": sorted(dist_s.counts.values(), reverse=True),

@@ -34,24 +34,11 @@ from .construct import (
 )
 from .errors import BudgetExceededError, DomainError, ParameterError
 from .graph import Graph, gm_switch
-from .graphio import label_table_json, to_edge_list, to_graph6
+from .graphio import label_table_json, to_edge_list, to_graph6, to_json
 
 BUDGET_ENV_VAR = "GMTWIST_BUDGET"
 
 BUILD_KINDS = ("grassmann", "twisted", "pg-design", "jt-design", "block-graph")
-
-
-def _graph_to_json(G: Graph) -> str:
-    edges = []
-    for u in range(G.n):
-        r = G.adj[u] >> (u + 1)
-        v = u + 1
-        while r:
-            if r & 1:
-                edges.append([u, v])
-            r >>= 1
-            v += 1
-    return json.dumps({"n": G.n, "edges": edges}, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def _write_graph(G: Graph, out: str, fmt: str) -> None:
@@ -63,7 +50,7 @@ def _write_graph(G: Graph, out: str, fmt: str) -> None:
             fh.write(to_edge_list(G))
     elif fmt == "json":
         with open(out, "w") as fh:
-            fh.write(_graph_to_json(G))
+            fh.write(to_json(G))
     else:
         raise ParameterError(f"unknown format {fmt!r}")
     with open(out + ".labels.json", "w") as fh:

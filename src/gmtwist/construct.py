@@ -5,13 +5,13 @@ pseudo-geometric designs, their block graphs, and the explicit vertex maps
 whose isomorphism claims the certifier checks edge by edge.
 
 Every subspace enters as its projective-point mask (`subspace.point_mask`),
-and every pairwise relation between masks (the block graphs, the
-block-intersection histogram and the twisted Grassmann graph) comes from the
-popcount pair kernel of `graph` (`pair_counts`).  The Grassmann adjacency
-takes a separate route that uses no point mask: the cliques of the subspaces
-lying in a common space one dimension up, found by RREF.  So the block-graph
-identity (the geometric design's block graph is the Grassmann graph)
-compares two independent constructions.
+and every count between masks (the block graphs and their histogram, the
+twisted Grassmann graph, the 2-design check and the switched-adjacency rule)
+comes from the popcount pair kernel of `graph` (`pair_counts`).  The
+Grassmann adjacency takes a separate route that uses no point mask: the
+cliques of the subspaces lying in a common space one dimension up, found by
+RREF.  So the block-graph identity (the geometric design's block graph is the
+Grassmann graph) compares two independent constructions.
 
 Conventions (fixed for reproducibility):
   - V = GF(q)^(2e+1); the hyperplane H is the span of the first 2e coordinates.
@@ -36,10 +36,13 @@ from .gf import FieldContext, make_field
 from .graph import (
     Graph,
     SwitchingPartition,
+    bit_panels,
     bits_of,
     check_equitable,
     mask_of,
+    masks_of_bits,
     pair_count_graph,
+    pair_count_matrix,
     pair_counts,
 )
 from .subspace import (
@@ -50,7 +53,6 @@ from .subspace import (
     enumerate_subspaces,
     gaussian_binomial,
     make_polarity,
-    mask_contains,
     point_mask,
     span,
 )
@@ -328,22 +330,22 @@ class TaReport:
 
 def verify_ta_rule(switched: Graph, params: Parameters, sigma: Polarity) -> TaReport:
     """After switching, W1 in C_U is adjacent to W2 in D exactly when W2
-    contains sigma(U)."""
+    contains sigma(U), that is shares all the points of sigma(U)."""
     info = switching_partition(params, sigma)
-    d_masks = {i: point_mask(switched.labels[i]) for i in info.d_indices}
-    checked = 0
+    d = list(info.d_indices)
+    cells = list(info.cells_by_U.items())
+    images = [apply_polarity(sigma, U) for U, _ in cells]
+    points = np.array([gaussian_binomial(S.dim, 1, params.q) for S in images])
+    d_masks = [point_mask(switched.labels[w2]) for w2 in d]
+    nbits = gaussian_binomial(params.n, 1, params.q)
+    contains = pair_count_matrix(list(map(point_mask, images)), d_masks, nbits) == points[:, None]
+    members = [w1 for _, ws in cells for w1 in ws]
+    expected = np.repeat(contains, [len(ws) for _, ws in cells], axis=0)
     violations = []
-    for U, members in info.cells_by_U.items():
-        sU_mask = point_mask(apply_polarity(sigma, U))
-        for w1 in members:
-            row = switched.adj[w1]
-            for w2, m2 in d_masks.items():
-                expected = mask_contains(m2, sU_mask)
-                actual = bool(row >> w2 & 1)
-                checked += 1
-                if expected != actual:
-                    violations.append((w1, w2))
-    return TaReport(not violations, checked, violations)
+    for lo, rows in bit_panels(switched, members):
+        wrong = rows[:, d] != expected[lo : lo + len(rows)]
+        violations += [(members[lo + r], d[c]) for r, c in np.argwhere(wrong).tolist()]
+    return TaReport(not violations, expected.size, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -432,27 +434,32 @@ class DesignCheck:
 
 def verify_2_design(D: Design) -> DesignCheck:
     """Exhaustive 2-design check: every unordered point pair lies in the same
-    number of blocks; returns (v, k, lambda) on success."""
+    number of blocks; returns (v, k, lambda) on success.  The pair counts
+    come from the point columns, the transpose of `block_masks()`."""
     if not D.blocks:
         return DesignCheck(False, D.v, None, None, ("no blocks",))
     k = len(D.blocks[0])
     for b in D.blocks:
         if len(b) != k:
             return DesignCheck(False, D.v, None, None, ("non-uniform block size", len(b), k))
-    pair_counts: dict[tuple[int, int], int] = {}
-    for b in D.blocks:
-        for x in range(len(b)):
-            for y in range(x + 1, len(b)):
-                pair_counts[(b[x], b[y])] = pair_counts.get((b[x], b[y]), 0) + 1
-    total_pairs = D.v * (D.v - 1) // 2
-    if len(pair_counts) != total_pairs:
+    incidence = np.zeros((D.v, len(D.blocks)), dtype=np.uint8)
+    incidence[np.array(D.blocks, dtype=np.intp).T, np.arange(len(D.blocks))] = 1
+    columns = masks_of_bits(incidence)
+    lam = pair_count_matrix(columns, columns, len(D.blocks))
+    values = lam[~np.eye(D.v, dtype=bool)]
+    if (values == 0).any():
         return DesignCheck(False, D.v, k, None, ("some point pair in no block",))
-    values = set(pair_counts.values())
-    if len(values) != 1:
-        lo, hi = min(values), max(values)
-        bad = next(p for p, c in pair_counts.items() if c == hi)
-        return DesignCheck(False, D.v, k, None, ("pair count not constant", bad, lo, hi))
-    return DesignCheck(True, D.v, k, values.pop(), None)
+    lo, hi = int(values.min()), int(values.max())
+    if lo == hi:
+        return DesignCheck(True, D.v, k, lo, None)
+    # the witness is the first pair of count hi met when the pairs of each
+    # (sorted) block are listed in block order
+    for b in D.blocks:
+        at = np.asarray(b, dtype=np.intp)
+        hits = np.argwhere(np.triu(lam[at[:, None], at] == hi, 1))
+        if len(hits):
+            x, y = hits[0].tolist()
+            return DesignCheck(False, D.v, k, None, ("pair count not constant", (b[x], b[y]), lo, hi))
 
 
 def design_lambda(params: Parameters) -> int:
@@ -465,7 +472,8 @@ def block_intersection_sizes(D: Design) -> dict[int, int]:
     """Multiset of |B1 cap B2| over all unordered block pairs, by size."""
     n = len(D.blocks)
     hist = np.zeros(D.v + 1, dtype=np.int64)
-    for lo, counts in pair_counts(D.block_masks(), D.v):
+    masks = D.block_masks()
+    for lo, counts in pair_counts(masks, masks, D.v):
         upper = np.arange(n) > np.arange(lo, lo + len(counts))[:, None]
         hist += np.bincount(counts[upper], minlength=D.v + 1)
     return {s: int(c) for s, c in enumerate(hist.tolist()) if c}

@@ -1,22 +1,24 @@
 """Finite simple graphs with exact spectral and switching machinery.
 
-Adjacency is stored as a tuple of Python int bitmasks, one per vertex;
-equitability counts, GM validation, switching and isomorphism checks work on
-those rows directly.  The kernels that count over many rows at once run
-instead over a packed numpy view of bitmask rows, `charpoly.packed_rows`: an
-(rows, ceil(bits/64)) uint64 array on which AND plus `np.bitwise_count`
-replaces the Python bit loops.  One word loop, `_popcount_and`, serves all of
-them: the BFS intersection arrays, the neighbourhood clique counts, and the
-pairwise intersection sizes of a family of bitmasks (`pair_counts`), from
-which the block graphs and the twisted Grassmann graph of `construct` are
-built.  Their counts are sums of integer popcounts, so every result stays
-exact, and no kernel allocates an n x n array.
+Adjacency is stored as a tuple of Python int bitmasks, one per vertex.  Every
+computation over whole graphs runs on a packed numpy view of bitmask rows,
+`charpoly.packed_rows`: an (rows, ceil(bits/64)) uint64 array on which AND
+plus `np.bitwise_count` replaces Python bit loops.  One word loop,
+`_popcount_and`, serves the BFS intersection arrays, the neighbourhood
+clique counts and `pair_counts`, the intersection sizes of every mask of one
+family with every mask of another.  It makes every row-against-mask count:
+the (vertex x cell) counts of the equitability check, the GM validation and
+the switch, and in `construct` the block graphs, the twisted Grassmann graph,
+the 2-design check and the switched-adjacency rule.  The isomorphism check and the graph codecs of
+`graphio` read the rows unpacked to 0/1 bytes, a panel at a time
+(`bit_panels`).  Every count is a sum of integer popcounts, so every result
+stays exact, and no kernel allocates an n x n array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from .errors import DomainError, GMHypothesisError, ParameterError
 DEFAULT_SPECTRAL_BUDGET = 2000
 # Upper bound on the bytes of one neighbourhood chunk (see _neighbourhood_stacks)
 NBHD_STACK_BYTES = 1 << 20
-# Upper bound on the bytes of one (panel rows x n) uint64 array of the BFS and
-# of the pair counts
+# Upper bound on the bytes of one panel: a (rows x n) uint64 array of the BFS
+# and of the pair counts, or a (rows x n) 0/1 byte array of `bit_panels`
 PANEL_BYTES = 1 << 16
 
 
@@ -100,18 +102,23 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def build_graph(labels: Sequence, adjacent: Callable) -> Graph:
-    """Graph from a symmetric irreflexive predicate evaluated on all label pairs."""
-    labels = tuple(labels)
-    n = len(labels)
-    adj = [0] * n
-    for i in range(n):
-        li = labels[i]
-        for j in range(i + 1, n):
-            if adjacent(li, labels[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(labels, adj)
+def masks_of_bits(bits: np.ndarray) -> list[int]:
+    """Int bitmask of each row of a 0/1 (rows, m) array: bit j of mask i is
+    bits[i, j].  The inverse of unpacking `packed_rows`."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def bit_panels(G: Graph, order: Sequence[int] | None = None):
+    """Yield (lo, bits) over panels of the rows order[0], order[1], ... of G
+    (all rows without `order`): bits[i] is row order[lo + i] as n 0/1 bytes.
+    A panel holds at least one row and at most PANEL_BYTES bytes otherwise."""
+    n = G.n
+    as_bytes = packed_rows(G.adj, n).view(np.uint8)
+    order = np.arange(n) if order is None else np.asarray(order, dtype=np.intp)
+    step = max(1, PANEL_BYTES // max(n, 1))
+    for lo in range(0, len(order), step):
+        yield lo, np.unpackbits(as_bytes[order[lo : lo + step]], axis=1, count=n, bitorder="little")
 
 
 @dataclass
@@ -121,6 +128,23 @@ class EquitableResult:
     equitable: bool
     quotient: list[list[int]] | None = None
     violation: tuple | None = None  # (vertex, cell_index, count, expected)
+
+
+def _equitable(cells: list[list[int]], counts: np.ndarray) -> EquitableResult:
+    """EquitableResult of the sorted cells, given counts[r, i] = neighbours in
+    cell i of the r-th vertex of the cells taken in order."""
+    firsts = []
+    lo = 0
+    for cell in cells:
+        block = counts[lo : lo + len(cell)]
+        lo += len(cell)
+        bad = block != block[0]
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))
+            r = int(np.argmax(bad[:, i]))
+            return EquitableResult(False, None, (cell[r], i, int(block[r, i]), int(block[0, i])))
+        firsts.append(block[0].tolist())
+    return EquitableResult(True, [list(row) for row in zip(*firsts)], None)
 
 
 def check_equitable(
@@ -138,18 +162,8 @@ def check_equitable(
     domain_set = set(all_verts) if domain is None else set(domain)
     if set(all_verts) != domain_set:
         raise ParameterError("cells do not cover the domain exactly")
-    cell_masks = [mask_of(c) for c in cell_lists]
-    t = len(cell_lists)
-    quotient = [[0] * t for _ in range(t)]
-    for j, cell in enumerate(cell_lists):
-        for i in range(t):
-            counts = [(G.adj[v] & cell_masks[i]).bit_count() for v in cell]
-            first = counts[0]
-            for v, c in zip(cell, counts):
-                if c != first:
-                    return EquitableResult(False, None, (v, i, c, first))
-            quotient[i][j] = first
-    return EquitableResult(True, quotient, None)
+    counts = pair_count_matrix([G.adj[v] for v in all_verts], [mask_of(c) for c in cell_lists], G.n)
+    return _equitable(cell_lists, counts)
 
 
 @dataclass(frozen=True)
@@ -182,7 +196,6 @@ class GMValidationReport:
     passed: bool
     equitable: EquitableResult
     tallies: dict  # {"zero": .., "half": .., "full": ..} over (x in D, cell) pairs
-    classifications: list  # (x, cell_index, count, class) for every pair
     violations: list  # (x, cell_index, count, cell_size)
 
     def summary(self) -> str:
@@ -197,31 +210,22 @@ def validate_gm(G: Graph, P: SwitchingPartition) -> GMValidationReport:
     """Check the switching hypothesis: cells equitable on X \\ D, and every
     x in D sees 0, |C_i|/2 or |C_i| vertices of each cell C_i."""
     P.validate_structure(G.n)
-    domain = [v for c in P.cells for v in c]
-    eq = check_equitable(G, P.cells, domain)
-    tallies = {"zero": 0, "half": 0, "full": 0}
-    classifications = []
-    violations = []
-    masks = P.cell_masks()
-    sizes = [len(c) for c in P.cells]
-    for x in P.exempt:
-        row = G.adj[x]
-        for i, (m, s) in enumerate(zip(masks, sizes)):
-            c = (row & m).bit_count()
-            if c == 0:
-                cls = "zero"
-            elif c == s:
-                cls = "full"
-            elif s % 2 == 0 and c == s // 2:
-                cls = "half"
-            else:
-                cls = "bad"
-                violations.append((x, i, c, s))
-            if cls != "bad":
-                tallies[cls] += 1
-            classifications.append((x, i, c, cls))
+    cells = [sorted(c) for c in P.cells]
+    domain = [v for c in cells for v in c]
+    counts = pair_count_matrix([G.adj[v] for v in domain + list(P.exempt)], P.cell_masks(), G.n)
+    eq = _equitable(cells, counts[: len(domain)])
+    d_counts = counts[len(domain) :]
+    sizes = np.array([len(c) for c in cells])
+    zero = d_counts == 0
+    full = ~zero & (d_counts == sizes)
+    half = ~zero & (2 * d_counts == sizes)
+    tallies = {"zero": int(zero.sum()), "half": int(half.sum()), "full": int(full.sum())}
+    violations = [
+        (P.exempt[r], i, int(d_counts[r, i]), len(cells[i]))
+        for r, i in np.argwhere(~(zero | half | full)).tolist()
+    ]
     passed = eq.equitable and not violations
-    return GMValidationReport(passed, eq, tallies, classifications, violations)
+    return GMValidationReport(passed, eq, tallies, violations)
 
 
 def gm_switch(G: Graph, P: SwitchingPartition) -> Graph:
@@ -239,17 +243,13 @@ def apply_gm_switch(G: Graph, P: SwitchingPartition) -> Graph:
     already seen validate_gm(G, P) pass."""
     adj = list(G.adj)
     masks = P.cell_masks()
-    sizes = [len(c) for c in P.cells]
-    for x in P.exempt:
-        flip = 0
-        for m, s in zip(masks, sizes):
-            if s % 2 == 0 and (G.adj[x] & m).bit_count() == s // 2:
-                flip |= m
-        if flip:
-            adj[x] ^= flip
-            xbit = 1 << x
-            for v in bits_of(flip):
-                adj[v] ^= xbit
+    sizes = np.array([len(c) for c in P.cells])
+    half = 2 * pair_count_matrix([G.adj[x] for x in P.exempt], masks, G.n) == sizes
+    for r, i in np.argwhere(half).tolist():
+        x = P.exempt[r]
+        adj[x] ^= masks[i]
+        for v in P.cells[i]:
+            adj[v] ^= 1 << x
     return Graph(G.labels, adj)
 
 
@@ -401,19 +401,27 @@ def intersection_array(G: Graph) -> DRGResult:
     return DRGResult(True, arr, None)
 
 
-def pair_counts(masks: Sequence[int], nbits: int):
-    """Yield (lo, counts) over panels of consecutive masks: counts[i, j] =
-    |masks[lo + i] & masks[j]|, an int32 (P, len(masks)) array.
+def pair_counts(left: Sequence[int], right: Sequence[int], nbits: int):
+    """Yield (lo, counts) over panels of consecutive left masks: counts[i, j]
+    = |left[lo + i] & right[j]|, an int32 (P, len(right)) array.
 
     The masks are bitmasks of at most nbits bits, packed into ceil(nbits/64)
     uint64 words by `packed_rows`; a panel holds as many rows as keep one
-    (rows x len(masks)) uint64 array within PANEL_BYTES.
+    (rows x len(right)) uint64 array within PANEL_BYTES, and at least one.
     """
-    n = len(masks)
-    cols = np.ascontiguousarray(packed_rows(masks, nbits).T)
-    step = max(1, PANEL_BYTES // (8 * max(n, 1)))
-    for lo in range(0, n, step):
-        yield lo, _popcount_and(cols[:, lo : lo + step, None], cols[:, None, :])
+    rows = np.ascontiguousarray(packed_rows(left, nbits).T)
+    cols = np.ascontiguousarray(packed_rows(right, nbits).T)
+    step = max(1, PANEL_BYTES // (8 * max(len(right), 1)))
+    for lo in range(0, len(left), step):
+        yield lo, _popcount_and(rows[:, lo : lo + step, None], cols[:, None, :])
+
+
+def pair_count_matrix(left: Sequence[int], right: Sequence[int], nbits: int) -> np.ndarray:
+    """All the panels of `pair_counts` in one int32 (len(left), len(right)) array."""
+    counts = np.empty((len(left), len(right)), dtype=np.int32)
+    for lo, panel in pair_counts(left, right, nbits):
+        counts[lo : lo + len(panel)] = panel
+    return counts
 
 
 def pair_count_graph(
@@ -424,12 +432,11 @@ def pair_count_graph(
     targets = np.asarray(targets)
     classes = np.asarray(classes, dtype=np.intp)
     adj: list[int] = []
-    for lo, counts in pair_counts(masks, nbits):
+    for lo, counts in pair_counts(masks, masks, nbits):
         rows = np.arange(lo, lo + len(counts))
         hits = counts == targets[classes[rows, None], classes[None, :]]
         hits[np.arange(len(rows)), rows] = False
-        packed = np.packbits(hits, axis=1, bitorder="little")
-        adj += [int.from_bytes(row.tobytes(), "little") for row in packed]
+        adj += masks_of_bits(hits)
     return Graph(labels, adj)
 
 
@@ -440,19 +447,10 @@ class InvariantDistribution:
 
     invariant: str
     counts: dict  # value -> number of vertices
-    fallback_used: bool
 
     @property
     def distinct(self) -> int:
         return len(self.counts)
-
-    def to_json(self):
-        return {
-            "invariant": self.invariant,
-            "fallback_used": self.fallback_used,
-            "distinct_values": self.distinct,
-            "class_sizes": sorted(self.counts.values(), reverse=True),
-        }
 
 
 def _neighbourhood_stacks(G: Graph, item_bytes: int):
@@ -537,25 +535,15 @@ def vertex_invariants(G: Graph, invariant: str) -> list:
 
 
 def vertex_invariant_distribution(
-    G: Graph,
-    invariant: str = "nbhd-charpoly",
-    budget: int = DEFAULT_SPECTRAL_BUDGET,
+    G: Graph, invariant: str = "nbhd-charpoly"
 ) -> InvariantDistribution:
     """Distribution of a per-vertex invariant (see `vertex_invariants`) over
-    all vertices.
-
-    Default invariant: exact char poly of the subgraph induced on the open
-    neighborhood.  Falls back to per-vertex (triangle, 4-clique) counts when
-    a neighborhood exceeds the spectral budget, and flags the fallback.
-    """
-    fallback = False
-    if invariant == "nbhd-charpoly" and any(G.degree(v) > budget for v in range(G.n)):
-        invariant = "clique-counts"
-        fallback = True
+    all vertices.  Default invariant: exact char poly of the subgraph induced
+    on the open neighborhood."""
     counts: dict = {}
     for val in vertex_invariants(G, invariant):
         counts[val] = counts.get(val, 0) + 1
-    return InvariantDistribution(invariant, counts, fallback)
+    return InvariantDistribution(invariant, counts)
 
 
 @dataclass
@@ -565,17 +553,17 @@ class IsoResult:
 
 
 def check_isomorphism(G: Graph, H: Graph, mapping: Sequence[int]) -> IsoResult:
-    """Verify that vertex map i -> mapping[i] is a graph isomorphism G -> H."""
+    """Verify that vertex map i -> mapping[i] is a graph isomorphism G -> H:
+    row u of G against row mapping[u] of H read at the columns mapping[v].
+    The violation is the first such u and the lowest H-vertex of its misfits."""
     if G.n != H.n or len(mapping) != G.n or len(set(mapping)) != G.n:
         raise ParameterError("mapping is not a bijection between the vertex sets")
     if any(not 0 <= m < H.n for m in mapping):
         raise ParameterError("mapping image out of range")
-    for u in range(G.n):
-        permuted = 0
-        for v in bits_of(G.adj[u]):
-            permuted |= 1 << mapping[v]
-        if permuted != H.adj[mapping[u]]:
-            diff = permuted ^ H.adj[mapping[u]]
-            v_img = bits_of(diff)[0]
-            return IsoResult(False, (u, v_img))
+    image = np.asarray(mapping, dtype=np.intp)
+    for (lo, rows), (_, h_rows) in zip(bit_panels(G), bit_panels(H, image)):
+        diff = rows != h_rows[:, image]
+        if diff.any():
+            i = int(np.argmax(diff.any(axis=1)))
+            return IsoResult(False, (lo + i, int(image[diff[i]].min())))
     return IsoResult(True, None)

@@ -162,11 +162,6 @@ def point_mask(W: Subspace) -> int:
     return mask
 
 
-def mask_contains(U_mask: int, W_mask: int) -> bool:
-    """Whether the point set W is contained in the point set U."""
-    return W_mask & ~U_mask == 0
-
-
 @dataclass(frozen=True)
 class Polarity:
     """Symplectic polarity of the hyperplane H = span(e_1..e_2e) of GF(q)^(2e+1).

@@ -18,8 +18,8 @@ from gmtwist.certify import (
     validate_certificate,
 )
 from gmtwist.cli import main
-from gmtwist.construct import Design, VertexMap
-from gmtwist.graph import Graph
+from gmtwist.construct import Design, PartitionInfo, VertexMap, _in_hyperplane
+from gmtwist.graph import Graph, SwitchingPartition
 from gmtwist.graphio import from_graph6
 
 
@@ -96,6 +96,16 @@ def test_budget_forces_array_method():
     assert cert["cospectrality"]["method"] == "intersection-array"
     assert "charpoly_skipped_reason" in cert["cospectrality"]
     assert cert["overall"] == "pass"
+
+
+def test_high_valency_falls_back_to_clique_counts(cert22, monkeypatch):
+    # at the default valency bound, (2,2) (valency 42) uses the char polys
+    assert cert22["transitivity_evidence"]["invariant"] == "nbhd-charpoly"
+    assert cert22["transitivity_evidence"]["fallback_used"] is False
+    monkeypatch.setattr(certify_mod, "NBHD_CHARPOLY_MAX_VALENCY", 41)
+    evidence = run_certification(2, 2, skip_charpoly=True)["transitivity_evidence"]
+    assert evidence["invariant"] == "clique-counts" and evidence["fallback_used"] is True
+    assert evidence["verdict"] == "pass"
 
 
 def test_clique_count_invariant():
@@ -231,12 +241,20 @@ def test_cli_budget_env_var(tmp_path, monkeypatch):
 
 # sha256 of the (2,2) build outputs, recorded at the commit before the
 # construction layer moved to projective-point masks and popcount pair panels
+# (graph6, labels and designs) and at the commit before graphio took over the
+# edge-list and JSON writers (edges, json)
 PINNED_BUILDS_22 = {
     ("grassmann", "graph6"): "1cbb11811fec2318160e6fdb5a6eb68ef792edcd58bdfd71726b7f0e153a3a57",
+    ("grassmann", "edges"): "f0d893a8a07da5df3b06c262c919c0fd322bb5e800f8a2f526edf6bd929f29e7",
+    ("grassmann", "json"): "90a3c45fa916e00db65895168dbd6ed7c4ce567eb83c0a531ccf2ba440560511",
     ("grassmann", "labels"): "0115fbccbd1224b0c6c165c862ab5f857d9b263c534683342b8c40e2c320f13b",
     ("twisted", "graph6"): "06436300e8e1e4309ca870920e45cf38eb14e231ca0544db9ee351f743d29d23",
+    ("twisted", "edges"): "7a84a49b25fdd15714b4de4d51e617f54e28680774e118a0c3340f73360a3b99",
+    ("twisted", "json"): "8ba85321587a233e6ef4842b28420dcda823b22df102fd45135e9dbe02526cac",
     ("twisted", "labels"): "0860fbcbaa75c846825b7f1b76392c3ae6b4514ae8756f56382e7ea444363a00",
     ("block-graph", "graph6"): "74d687944ca01bff0558efafc1ba0b5454858e2edc8ea5cfa391b3e76418b44a",
+    ("block-graph", "edges"): "611134e8209e672dbc34da83f94dbc251cbc2a5ba0cc68780f17f7a1c2e291d1",
+    ("block-graph", "json"): "ef27487023090da69975e029121603b79b17296ad5d643f5b0cd5891a22f0470",
     ("block-graph", "labels"): "adf42f1a85ad6dcd196d79a5234dbcbaf3081f2a4669335086a55fe8595c8868",
     ("pg-design", "json"): "ac81c7ce321ccd870a5ec81c8efd1c4275bd33b229e005313d617272193781d5",
     ("jt-design", "json"): "4449c84f141cac35a74889043be4a97966fe27e8f1a54039c6dd738aa62d5b67",
@@ -245,14 +263,15 @@ PINNED_BUILDS_22 = {
 
 @pytest.mark.parametrize("kind", ["grassmann", "twisted", "block-graph", "pg-design", "jt-design"])
 def test_cli_build_outputs_pinned(kind, tmp_path):
-    out = tmp_path / "out"
-    fmt = "json" if kind.endswith("design") else "graph6"
-    assert main(["build", kind, "--q", "2", "--e", "2", "--out", str(out), "--format", fmt]) == 0
-    files = {fmt: out}
-    if fmt == "graph6":
-        files["labels"] = tmp_path / "out.labels.json"
-    for name, path in files.items():
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_BUILDS_22[(kind, name)]
+    formats = ("json",) if kind.endswith("design") else ("graph6", "edges", "json")
+    for fmt in formats:
+        out = tmp_path / fmt
+        assert main(["build", kind, "--q", "2", "--e", "2", "--out", str(out), "--format", fmt]) == 0
+        files = {fmt: out}
+        if not kind.endswith("design"):
+            files["labels"] = tmp_path / f"{fmt}.labels.json"
+        for name, path in files.items():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_BUILDS_22[(kind, name)]
 
 
 # Negative controls: one tampered input must turn its verdict from pass to fail.
@@ -262,6 +281,20 @@ def _tampered_certificate(monkeypatch, name, tamper):
     original = getattr(certify_mod, name)
     monkeypatch.setattr(certify_mod, name, lambda *args: tamper(original(*args)))
     return run_certification(2, 2, skip_charpoly=True, invariant="clique-counts")
+
+
+def _move_point(D):
+    """D with one point of its first block replaced by a point outside it."""
+    block = D.blocks[0]
+    outside = next(p for p in range(D.v) if p not in block)
+    moved = tuple(sorted(block[1:] + (outside,)))
+    return Design(D.params, D.points, (moved,) + D.blocks[1:], D.provenance)
+
+
+def _swap_first_two(m):
+    mapping = list(m.mapping)
+    mapping[0], mapping[1] = mapping[1], mapping[0]
+    return VertexMap(tuple(mapping), m.injective)
 
 
 def test_flipped_grassmann_bit_fails_block_graph_identity(monkeypatch):
@@ -278,25 +311,14 @@ def test_flipped_grassmann_bit_fails_block_graph_identity(monkeypatch):
 
 
 def test_moved_point_fails_geometric_design_and_identity(monkeypatch):
-    def move(D):
-        block = D.blocks[0]
-        outside = next(p for p in range(D.v) if p not in block)
-        moved = tuple(sorted(block[1:] + (outside,)))
-        return Design(D.params, D.points, (moved,) + D.blocks[1:], D.provenance)
-
-    cert = _tampered_certificate(monkeypatch, "pg_design", move)
+    cert = _tampered_certificate(monkeypatch, "pg_design", _move_point)
     assert cert["designs"]["geometric"]["verdict"] == "fail"
     assert cert["isomorphisms"]["block_graph_identity"] == "fail"
     assert cert["overall"] == "fail"
 
 
 def test_swapped_phi_entries_fail_phi(monkeypatch):
-    def swap(phi):
-        mapping = list(phi.mapping)
-        mapping[0], mapping[1] = mapping[1], mapping[0]
-        return VertexMap(tuple(mapping), phi.injective)
-
-    cert = _tampered_certificate(monkeypatch, "phi_map", swap)
+    cert = _tampered_certificate(monkeypatch, "phi_map", _swap_first_two)
     assert cert["isomorphisms"]["phi"] == "fail"
     assert cert["overall"] == "fail"
     # the untampered run passes the same verdicts
@@ -304,3 +326,43 @@ def test_swapped_phi_entries_fail_phi(monkeypatch):
     clean = run_certification(2, 2, skip_charpoly=True, invariant="clique-counts")
     assert clean["isomorphisms"] == {"block_graph_identity": "pass", "phi": "pass", "psi": "pass"}
     assert clean["designs"]["geometric"]["verdict"] == "pass"
+    assert clean["overall"] == "pass"  # every verdict the other controls tamper with
+
+
+def test_moved_cell_vertex_fails_gm_validation(monkeypatch):
+    def move(info):
+        P = info.partition
+        (v, *rest), *cells = P.cells
+        moved = SwitchingPartition((tuple(rest), *cells), tuple(sorted(P.exempt + (v,))))
+        return PartitionInfo(moved, info.cells_by_U, info.pairs, info.d_indices)
+
+    cert = _tampered_certificate(monkeypatch, "switching_partition", move)
+    assert cert["gm_validation"]["verdict"] == "fail"
+    assert cert["overall"] == "fail"
+
+
+def test_flipped_a_d_edge_fails_switched_adjacency_rule(monkeypatch):
+    def flip(G):
+        a = next(i for i, W in enumerate(G.labels) if not _in_hyperplane(W))
+        d = next(i for i, W in enumerate(G.labels) if _in_hyperplane(W))
+        rows = list(G.adj)
+        rows[a] ^= 1 << d
+        rows[d] ^= 1 << a
+        return Graph(G.labels, rows)
+
+    cert = _tampered_certificate(monkeypatch, "apply_gm_switch", flip)
+    rule = cert["switched_adjacency_rule"]
+    assert (rule["verdict"], rule["violations"]) == ("fail", 1)
+    assert cert["overall"] == "fail"
+
+
+def test_moved_point_fails_pseudo_geometric_design(monkeypatch):
+    cert = _tampered_certificate(monkeypatch, "jt_design", _move_point)
+    assert cert["designs"]["pseudo_geometric"]["verdict"] == "fail"
+    assert cert["overall"] == "fail"
+
+
+def test_swapped_psi_entries_fail_psi(monkeypatch):
+    cert = _tampered_certificate(monkeypatch, "psi_map", _swap_first_two)
+    assert cert["isomorphisms"]["psi"] == "fail"
+    assert cert["overall"] == "fail"

@@ -1,10 +1,20 @@
+import random
+from itertools import combinations
+from unittest.mock import patch
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gmtwist.construct as construct_mod
 import gmtwist.graph as graph_mod
 import gmtwist.subspace as subspace_mod
 from gmtwist.construct import (
+    Design,
+    DesignCheck,
     Parameters,
+    TaReport,
+    _in_hyperplane,
     block_graph,
     block_intersection_sizes,
     design_lambda,
@@ -25,16 +35,16 @@ from gmtwist.construct import (
     verify_ta_rule,
 )
 from gmtwist.errors import DomainError, ParameterError
-from gmtwist.graph import check_equitable, check_isomorphism, gm_switch, mask_of, validate_gm
+from gmtwist.graph import Graph, check_equitable, check_isomorphism, gm_switch, mask_of, validate_gm
 from gmtwist.subspace import (
     apply_polarity,
     contains,
     dim_intersection,
     enumerate_subspaces,
     gaussian_binomial,
-    mask_contains,
     point_mask,
 )
+from helpers import mask_contains
 
 
 def test_parameters_validation():
@@ -158,7 +168,7 @@ def test_lemma1_rejects_non_equitable(params22, info22):
 def test_pre_switch_rule(G22, params22, sigma22, info22):
     # before switching, W1 in C_U is adjacent to W2 in D exactly when W2
     # contains U itself (not sigma(U))
-    from gmtwist.subspace import mask_contains, point_mask
+    from gmtwist.subspace import point_mask
 
     d_masks = {i: point_mask(G22.labels[i]) for i in info22.d_indices}
     for U, members in info22.cells_by_U.items():
@@ -421,3 +431,121 @@ def test_pair_kernel_constructions_match_pair_loops(q):
     assert list(twisted_grassmann(params).adj) == _reference_twisted_rows(params)
     for D in (pg_design(params), jt_design(params, sigma)):
         assert block_intersection_sizes(D) == _reference_histogram(D)
+
+
+# the bit loops of the switched-adjacency rule and the 2-design check before
+# they moved onto the pair kernel, kept as references
+
+
+def _reference_ta_rule(switched, params, sigma):
+    info = switching_partition(params, sigma)
+    d_masks = {i: point_mask(switched.labels[i]) for i in info.d_indices}
+    checked = 0
+    violations = []
+    for U, members in info.cells_by_U.items():
+        sU_mask = point_mask(apply_polarity(sigma, U))
+        for w1 in members:
+            for w2, m2 in d_masks.items():
+                checked += 1
+                if mask_contains(m2, sU_mask) != bool(switched.adj[w1] >> w2 & 1):
+                    violations.append((w1, w2))
+    return TaReport(not violations, checked, violations)
+
+
+def _reference_2_design(D):
+    if not D.blocks:
+        return DesignCheck(False, D.v, None, None, ("no blocks",))
+    k = len(D.blocks[0])
+    for b in D.blocks:
+        if len(b) != k:
+            return DesignCheck(False, D.v, None, None, ("non-uniform block size", len(b), k))
+    counts = {}
+    for b in D.blocks:
+        for x in range(len(b)):
+            for y in range(x + 1, len(b)):
+                counts[(b[x], b[y])] = counts.get((b[x], b[y]), 0) + 1
+    if len(counts) != D.v * (D.v - 1) // 2:
+        return DesignCheck(False, D.v, k, None, ("some point pair in no block",))
+    values = set(counts.values())
+    if len(values) != 1:
+        lo, hi = min(values), max(values)
+        bad = next(p for p, c in counts.items() if c == hi)
+        return DesignCheck(False, D.v, k, None, ("pair count not constant", bad, lo, hi))
+    return DesignCheck(True, D.v, k, values.pop(), None)
+
+
+def _flip(G, pairs):
+    rows = list(G.adj)
+    for a, b in pairs:
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+    return Graph(G.labels, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 154), st.integers(0, 154)), max_size=6),
+    st.booleans(),
+    st.sampled_from([1, 200, 1 << 16]),
+)
+def test_ta_rule_matches_bit_loop(switched22, params22, sigma22, G22, flips, a_d_only, panel_bytes):
+    # flipped pairs: A-D pairs only, which the rule reads, or any pairs
+    d = {i for i, W in enumerate(G22.labels) if _in_hyperplane(W)}
+    if a_d_only:
+        flips = [(a, b) for a, b in flips if (a in d) != (b in d)]
+    tampered = _flip(switched22, [(a, b) for a, b in flips if a != b])
+    with patch.object(graph_mod, "PANEL_BYTES", panel_bytes):
+        for H in (tampered, switched22, G22):
+            assert verify_ta_rule(H, params22, sigma22) == _reference_ta_rule(H, params22, sigma22)
+
+
+def test_ta_rule_matches_bit_loop_at_q3():
+    params = Parameters(3, 2)
+    sigma = standard_polarity(params)
+    G = canonical_grassmann(params)
+    switched = gm_switch(G, switching_partition(params, sigma).partition)
+    for H in (switched, G, _flip(switched, [(0, 1200), (5, 1209), (7, 8)])):
+        assert verify_ta_rule(H, params, sigma) == _reference_ta_rule(H, params, sigma)
+    assert verify_ta_rule(switched, params, sigma).ok
+
+
+@st.composite
+def designs(draw):
+    """Designs on v points: random uniform blocks, every k-subset of the
+    points (a 2-design) or all but one, or random blocks with one of another
+    size."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "complete", "complete-minus-one", "ragged"]))
+    if kind.startswith("complete"):
+        v = draw(st.integers(2, 8))
+        k = draw(st.integers(2, v))
+        blocks = list(combinations(range(v), k))
+        if kind == "complete-minus-one" and len(blocks) > 1:
+            del blocks[rng.randrange(len(blocks))]
+    else:
+        v = draw(st.integers(2, 40))
+        k = draw(st.integers(0, v))
+        blocks = [tuple(sorted(rng.sample(range(v), k))) for _ in range(draw(st.integers(1, 30)))]
+        if kind == "ragged":
+            blocks[rng.randrange(len(blocks))] = tuple(sorted(rng.sample(range(v), (k + 1) % (v + 1))))
+    rng.shuffle(blocks)
+    return Design(Parameters(2, 2), tuple(range(v)), tuple(blocks), kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(designs(), st.sampled_from([1, 64, 1 << 16]))
+def test_verify_2_design_matches_bit_loop(D, panel_bytes):
+    with patch.object(graph_mod, "PANEL_BYTES", panel_bytes):
+        assert verify_2_design(D) == _reference_2_design(D)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_verify_2_design_matches_bit_loop_on_the_designs(q):
+    params = Parameters(q, 2)
+    sigma = standard_polarity(params)
+    for D in (pg_design(params), jt_design(params, sigma)):
+        moved = D.blocks[0][1:] + (next(p for p in range(D.v) if p not in D.blocks[0]),)
+        for blocks in (D.blocks, D.blocks[1:], (tuple(sorted(moved)),) + D.blocks[1:]):
+            E = Design(params, D.points, blocks, D.provenance)
+            assert verify_2_design(E) == _reference_2_design(E)
+        assert verify_2_design(D).ok and not verify_2_design(E).ok

@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import networkx as nx
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmtwist.graph as graph_mod
+from helpers import build_graph
 from gmtwist.charpoly import char_poly_exact
 from gmtwist.construct import Parameters, canonical_grassmann, standard_polarity, switching_partition
 from gmtwist.errors import DomainError, GMHypothesisError, ParameterError
@@ -15,7 +17,6 @@ from gmtwist.graph import (
     SwitchingPartition,
     apply_gm_switch,
     bits_of,
-    build_graph,
     char_poly,
     check_equitable,
     check_isomorphism,
@@ -450,15 +451,11 @@ def test_clique_counts_on_wide_neighbourhoods(monkeypatch):
 def test_vertex_invariants():
     C6 = _cycle(6)
     d = vertex_invariant_distribution(C6)
-    assert d.distinct == 1 and not d.fallback_used
+    assert d.distinct == 1 and d.invariant == "nbhd-charpoly"
 
     star = _graph_from_edges(4, {(0, 1), (0, 2), (0, 3)})
     d = vertex_invariant_distribution(star)
     assert d.distinct == 2 and sorted(d.counts.values()) == [1, 3]
-
-    # tiny budget forces the clique-count fallback
-    d = vertex_invariant_distribution(_complete(5), budget=2)
-    assert d.fallback_used and d.invariant == "clique-counts" and d.distinct == 1
 
     with pytest.raises(ParameterError):
         vertex_invariant_distribution(C6, invariant="spectra")
@@ -626,7 +623,7 @@ def mask_families(draw):
 
 def _panels(masks, nbits):
     got = []
-    for lo, counts in pair_counts(masks, nbits):
+    for lo, counts in pair_counts(masks, masks, nbits):
         assert lo == len(got) and counts.dtype == np.int32
         got += counts.tolist()
     return got
@@ -664,3 +661,215 @@ def test_pair_kernel_panel_splits_at_word_boundaries(nbits, monkeypatch):
     for panel_bytes in (1, 8 * len(masks), 8 * len(masks) * 4, 8 * len(masks) * 7 + 3, 1 << 16):
         monkeypatch.setattr(graph_mod, "PANEL_BYTES", panel_bytes)
         _check_pair_kernel(masks, nbits)
+
+
+def test_pair_kernel_two_families(monkeypatch):
+    rng = random.Random(3)
+    for nbits in (1, 63, 64, 65, 130):
+        left = [rng.getrandbits(nbits) for _ in range(23)] + [0, (1 << nbits) - 1]
+        right = [rng.getrandbits(nbits) for _ in range(9)]
+        want = [[(a & b).bit_count() for b in right] for a in left]
+        for panel_bytes in (1, 8 * len(right) * 3, 1 << 16):
+            monkeypatch.setattr(graph_mod, "PANEL_BYTES", panel_bytes)
+            got = []
+            for lo, counts in pair_counts(left, right, nbits):
+                assert lo == len(got) and counts.shape[1] == len(right)
+                got += counts.tolist()
+            assert got == want
+    assert list(pair_counts([], [1], 1)) == [] and [c.shape for _, c in pair_counts([1], [], 1)] == [(1, 0)]
+
+
+# ---------------------------------------------------------------------------
+# GM hypothesis, switch and isomorphism: the per-row bit loops that the count
+# helper `cell_counts` and `bit_panels` replaced are the references
+
+
+def _reference_check_equitable(G, cells, domain=None):
+    cell_lists = [sorted(set(c)) for c in cells]
+    all_verts = [v for c in cell_lists for v in c]
+    if len(set(all_verts)) != len(all_verts):
+        raise ParameterError("cells are not disjoint")
+    domain_set = set(all_verts) if domain is None else set(domain)
+    if set(all_verts) != domain_set:
+        raise ParameterError("cells do not cover the domain exactly")
+    cell_masks = [mask_of(c) for c in cell_lists]
+    t = len(cell_lists)
+    quotient = [[0] * t for _ in range(t)]
+    for j, cell in enumerate(cell_lists):
+        for i in range(t):
+            counts = [(G.adj[v] & cell_masks[i]).bit_count() for v in cell]
+            first = counts[0]
+            for v, c in zip(cell, counts):
+                if c != first:
+                    return graph_mod.EquitableResult(False, None, (v, i, c, first))
+            quotient[i][j] = first
+    return graph_mod.EquitableResult(True, quotient, None)
+
+
+def _reference_validate_gm(G, P):
+    """(passed, equitable result, tallies, violations)."""
+    P.validate_structure(G.n)
+    domain = [v for c in P.cells for v in c]
+    eq = _reference_check_equitable(G, P.cells, domain)
+    tallies = {"zero": 0, "half": 0, "full": 0}
+    violations = []
+    for x in P.exempt:
+        row = G.adj[x]
+        for i, (m, s) in enumerate(zip(P.cell_masks(), [len(c) for c in P.cells])):
+            c = (row & m).bit_count()
+            if c == 0:
+                tallies["zero"] += 1
+            elif c == s:
+                tallies["full"] += 1
+            elif s % 2 == 0 and c == s // 2:
+                tallies["half"] += 1
+            else:
+                violations.append((x, i, c, s))
+    return eq.equitable and not violations, eq, tallies, violations
+
+
+def _reference_switch(G, P):
+    adj = list(G.adj)
+    for x in P.exempt:
+        flip = 0
+        for m, s in zip(P.cell_masks(), [len(c) for c in P.cells]):
+            if s % 2 == 0 and (G.adj[x] & m).bit_count() == s // 2:
+                flip |= m
+        if flip:
+            adj[x] ^= flip
+            for v in bits_of(flip):
+                adj[v] ^= 1 << x
+    return Graph(G.labels, adj)
+
+
+def _reference_check_isomorphism(G, H, mapping):
+    for u in range(G.n):
+        permuted = 0
+        for v in bits_of(G.adj[u]):
+            permuted |= 1 << mapping[v]
+        if permuted != H.adj[mapping[u]]:
+            return graph_mod.IsoResult(False, (u, bits_of(permuted ^ H.adj[mapping[u]])[0]))
+    return graph_mod.IsoResult(True, None)
+
+
+@st.composite
+def switching_instances(draw):
+    """A graph with cells and an exempt class D: each cell a circulant (so
+    equitable alone), each pair of cells joined completely or not at all,
+    each D-vertex seeing none, half, all or a random part of each cell, and
+    some random edges on top that may break equitability."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    nd = draw(st.integers(0, 6))
+    noise = draw(st.sampled_from([0, 0, 1, 3]))
+    cells, start = [], 0
+    for s in sizes:
+        cells.append(list(range(start, start + s)))
+        start += s
+    n = start + nd
+    order = list(range(n))
+    rng.shuffle(order)  # cells and D spread over the vertex range
+    edges = set()
+
+    def add(a, b):
+        edges.add((min(order[a], order[b]), max(order[a], order[b])))
+
+    for cell in cells:
+        offsets = {o for o in range(1, len(cell)) if rng.random() < 0.5}
+        offsets |= {len(cell) - o for o in offsets}
+        for a in cell:
+            for b in cell:
+                if a < b and (b - a) in offsets:
+                    add(a, b)
+    for i, ci in enumerate(cells):
+        for cj in cells[i + 1 :]:
+            if rng.random() < 0.4:
+                for a in ci:
+                    for b in cj:
+                        add(a, b)
+    for x in range(start, n):
+        for cell in cells:
+            kind = rng.choice(["zero", "half", "full", "random"])
+            k = {"zero": 0, "half": len(cell) // 2, "full": len(cell)}.get(kind, rng.randrange(len(cell) + 1))
+            for a in rng.sample(cell, k):
+                add(a, x)
+        for y in range(start, x):
+            if rng.random() < 0.5:
+                add(y, x)
+    for _ in range(noise):
+        a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if a != b:
+            edges.symmetric_difference_update({(min(order[a], order[b]), max(order[a], order[b]))})
+    G = _graph_from_edges(n, edges)
+    P = SwitchingPartition(
+        tuple(tuple(order[a] for a in c) for c in cells), tuple(order[x] for x in range(start, n))
+    )
+    return G, P
+
+
+@settings(max_examples=150, deadline=None)
+@given(switching_instances(), st.sampled_from([1, 24, 200, 1 << 16]))
+def test_gm_checks_and_switch_match_bit_loops(instance, panel_bytes):
+    G, P = instance
+    with patch.object(graph_mod, "PANEL_BYTES", panel_bytes):
+        domain = [v for c in P.cells for v in c]
+        assert check_equitable(G, P.cells, domain) == _reference_check_equitable(G, P.cells, domain)
+        if P.exempt:
+            with_d = P.cells + (P.exempt,)
+            assert check_equitable(G, with_d) == _reference_check_equitable(G, with_d)
+        rep = validate_gm(G, P)
+        passed, eq, tallies, violations = _reference_validate_gm(G, P)
+        assert (rep.passed, rep.equitable, rep.tallies, rep.violations) == (passed, eq, tallies, violations)
+        assert all(type(x) is int for v in rep.violations for x in v)
+        assert apply_gm_switch(G, P) == _reference_switch(G, P)
+    if rep.passed:
+        assert gm_switch(gm_switch(G, P), P) == G
+
+
+@st.composite
+def isomorphism_instances(draw):
+    """(G, H, mapping): H is G relabelled by a random permutation, then
+    possibly tampered with (an edge of H flipped, or two mapping entries
+    swapped)."""
+    G = draw(random_graphs(max_n=140))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    rows = [0] * G.n
+    for u in range(G.n):
+        for v in G.neighbors(u):
+            rows[perm[u]] |= 1 << perm[v]
+    tamper = draw(st.sampled_from(["none", "edge", "swap"]))
+    if G.n >= 2 and tamper == "edge":
+        a, b = rng.sample(range(G.n), 2)
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+    elif G.n >= 2 and tamper == "swap":
+        a, b = rng.sample(range(G.n), 2)
+        perm[a], perm[b] = perm[b], perm[a]
+    return G, Graph(range(G.n), rows), perm
+
+
+@settings(max_examples=150, deadline=None)
+@given(isomorphism_instances(), st.sampled_from([1, 100, 1000, 1 << 16]))
+def test_check_isomorphism_matches_bit_loop(instance, panel_bytes):
+    G, H, mapping = instance
+    with patch.object(graph_mod, "PANEL_BYTES", panel_bytes):
+        got = check_isomorphism(G, H, mapping)
+    assert got == _reference_check_isomorphism(G, H, mapping)
+    assert got.violation is None or all(type(x) is int for x in got.violation)
+
+
+def test_gm_checks_match_bit_loops_on_grassmann(G22, info22, monkeypatch):
+    # the (2,2) partition, whole and with one cell vertex moved into D
+    P = info22.partition
+    (v, *rest), *cells = P.cells
+    moved = SwitchingPartition((tuple(rest), *cells), tuple(sorted(P.exempt + (v,))))
+    for panel_bytes in (1, 8 * 25 * 3, 1 << 16):
+        monkeypatch.setattr(graph_mod, "PANEL_BYTES", panel_bytes)
+        for Q in (P, moved):
+            rep = validate_gm(G22, Q)
+            passed, eq, tallies, violations = _reference_validate_gm(G22, Q)
+            assert (rep.passed, rep.equitable, rep.tallies, rep.violations) == (passed, eq, tallies, violations)
+            assert apply_gm_switch(G22, Q) == _reference_switch(G22, Q)
+        assert not validate_gm(G22, moved).passed and validate_gm(G22, P).passed

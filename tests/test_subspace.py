@@ -16,11 +16,11 @@ from gmtwist.subspace import (
     is_totally_isotropic,
     make_polarity,
     make_polarity_from_gram,
-    mask_contains,
     point_mask,
     span,
     subspace_sum,
 )
+from helpers import mask_contains
 
 
 def test_canonicalize_examples():
