@@ -51,8 +51,6 @@ DEFAULT_CERTIFY_SPECTRAL_BUDGET = 500
 # twisted graph / psi / invariants / polarity-independence are quadratic-or-worse
 # stages that stay feasible up to this many vertices
 HEAVY_STAGE_LIMIT = 2000
-# neighborhood char polys get slow past this valency; fall back to clique counts
-NBHD_CHARPOLY_MAX_VALENCY = 200
 
 
 def _pairwise_gram(params: Parameters):
@@ -93,7 +91,6 @@ def run_certification(
     skip_charpoly: bool = False,
     spectral_budget: int = DEFAULT_CERTIFY_SPECTRAL_BUDGET,
     invariant: str = "nbhd-charpoly",
-    enum_budget: int | None = None,
 ) -> dict:
     """Run the full pipeline for (q, e) and return the certificate dict."""
     params = Parameters(q, e)
@@ -176,8 +173,8 @@ def run_certification(
     if switched is None:
         cert["cospectrality"] = _skip("no switched graph")
     elif use_charpoly:
-        cp_switched = char_poly(switched, spectral_budget)
-        same = char_poly(G, spectral_budget) == cp_switched
+        cp_switched = char_poly(switched)
+        same = char_poly(G) == cp_switched
         cert["cospectrality"] = {"method": "charpoly", "verdict": _verdict(same)}
     else:
         reason = "flag" if skip_charpoly else "budget"
@@ -254,15 +251,11 @@ def run_certification(
 
     # --- non-vertex-transitivity evidence --------------------------------------
     heavy_ok = switched is not None and G.n <= HEAVY_STAGE_LIMIT
-    chosen = invariant
-    if chosen == "nbhd-charpoly" and max(G.degrees()) > NBHD_CHARPOLY_MAX_VALENCY:
-        chosen = "clique-counts"
     if heavy_ok:
-        dist_g = vertex_invariant_distribution(G, chosen)
-        dist_s = vertex_invariant_distribution(switched, chosen)
+        dist_g = vertex_invariant_distribution(G, invariant)
+        dist_s = vertex_invariant_distribution(switched, invariant)
         cert["transitivity_evidence"] = {
             "invariant": dist_g.invariant,
-            "fallback_used": chosen != invariant,
             "original_distinct": dist_g.distinct,
             "switched_distinct": dist_s.distinct,
             "switched_class_sizes": sorted(dist_s.counts.values(), reverse=True),
@@ -282,16 +275,15 @@ def run_certification(
         rep2 = validate_gm(G, info2.partition)
         if rep2.passed:
             switched2 = apply_gm_switch(G, info2.partition)
-            checks = {}
+            checks = {"grams_distinct": sigma2.gram != sigma.gram}
             if use_charpoly:
-                checks["charpoly_equal"] = cp_switched == char_poly(switched2, spectral_budget)
+                checks["charpoly_equal"] = cp_switched == char_poly(switched2)
             ia2 = intersection_array(switched2)
             checks["arrays_equal"] = ia2.is_drg and iat.is_drg and ia2.array == iat.array
-            d2 = vertex_invariant_distribution(switched2, chosen)
+            d2 = vertex_invariant_distribution(switched2, invariant)
             checks["invariant_distributions_equal"] = dist_s.counts == d2.counts
             cert["polarity_independence"] = {
                 "verdict": _verdict(all(checks.values())),
-                "grams_distinct": sigma2.gram != sigma.gram,
                 **{k: bool(v) for k, v in checks.items()},
             }
         else:

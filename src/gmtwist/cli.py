@@ -6,7 +6,9 @@ Subcommands:
   certify  run the full certification pipeline and emit a JSON certificate
 
 Exit codes: 0 success / all verdicts pass; 1 a verified claim failed;
-2 usage or parameter error; 3 enumeration or spectral budget exhausted.
+2 usage or parameter error; 3 the graph J_q(2e+1, e+1) has more than
+construct.MAX_VERTICES (2^15) vertices, refused before anything is built.
+`certify --budget` only chooses how cospectrality is certified.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .certify import (
 from .construct import (
     Parameters,
     block_graph,
-    grassmann,
     jt_design,
     canonical_grassmann,
     pg_design,
@@ -72,7 +73,7 @@ def _cmd_build(args) -> int:
             fh.write("\n")
         return 0
     if args.kind == "grassmann":
-        G = grassmann(params.n, params.e + 1, params.q)
+        G = canonical_grassmann(params)
     elif args.kind == "twisted":
         G = twisted_grassmann(params)
     else:  # block-graph: the block graph of the pseudo-geometric design

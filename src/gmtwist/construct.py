@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import BudgetExceededError, DomainError, ParameterError
 from .gf import FieldContext, make_field
 from .graph import (
     Graph,
@@ -46,7 +46,6 @@ from .graph import (
     pair_counts,
 )
 from .subspace import (
-    DEFAULT_ENUM_BUDGET,
     Polarity,
     Subspace,
     apply_polarity,
@@ -56,6 +55,11 @@ from .subspace import (
     point_mask,
     span,
 )
+
+# Largest admitted vertex count: one n-bit adjacency copy (n^2 bits) then stays
+# within 128 MiB.  Admits (q, e) = (2,2), (3,2), (4,2), (5,2) and (2,3) for
+# e >= 2; the next size up, (7,2), has 140050 vertices.
+MAX_VERTICES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -81,15 +85,6 @@ class Parameters:
     @property
     def vertex_count(self) -> int:
         return gaussian_binomial(self.n, self.e + 1, self.q)
-
-
-def grassmann(n: int, k: int, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> Graph:
-    """Grassmann graph J_q(n,k): k-subspaces of GF(q)^n, adjacent when the
-    intersection has dimension k-1."""
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    verts = enumerate_subspaces(make_field(q), n, k, budget)
-    return Graph(verts, _grassmann_rows(verts))
 
 
 def _points_on(q: int, cols: list[int], ambient: int):
@@ -144,6 +139,14 @@ def _in_hyperplane(W: Subspace) -> bool:
 
 @lru_cache(maxsize=None)
 def _all_vertices(params: Parameters) -> tuple[Subspace, ...]:
+    """The (e+1)-subspaces of V in canonical order, the vertex set of every
+    graph and the block set of every design built here.  Every command
+    reaches it first, so its size check is the one admission rule."""
+    if params.vertex_count > MAX_VERTICES:
+        raise BudgetExceededError(
+            f"J_{params.q}({params.n},{params.e + 1}) has {params.vertex_count} vertices,"
+            f" more than the {MAX_VERTICES} admitted"
+        )
     return tuple(enumerate_subspaces(params.ctx, params.n, params.e + 1))
 
 
@@ -436,6 +439,8 @@ def verify_2_design(D: Design) -> DesignCheck:
     """Exhaustive 2-design check: every unordered point pair lies in the same
     number of blocks; returns (v, k, lambda) on success.  The pair counts
     come from the point columns, the transpose of `block_masks()`."""
+    if D.v < 2:
+        return DesignCheck(False, D.v, None, None, ("fewer than two points",))
     if not D.blocks:
         return DesignCheck(False, D.v, None, None, ("no blocks",))
     k = len(D.blocks[0])

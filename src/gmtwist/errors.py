@@ -2,6 +2,8 @@
 
 Exit-code mapping used by the CLI: ParameterError / DomainError -> 2,
 BudgetExceededError -> 3, failed verification verdicts -> 1.
+BudgetExceededError is raised in one place, the admission check of
+`construct._all_vertices`, before any subspace is enumerated.
 """
 
 
@@ -14,7 +16,7 @@ class DomainError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration or spectral computation would exceed the configured budget."""
+    """The parameters give more vertices than `construct.MAX_VERTICES` admits."""
 
 
 class GMHypothesisError(RuntimeError):

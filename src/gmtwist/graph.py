@@ -25,7 +25,6 @@ import numpy as np
 from .charpoly import char_poly_exact, char_polys_exact, packed_rows
 from .errors import DomainError, GMHypothesisError, ParameterError
 
-DEFAULT_SPECTRAL_BUDGET = 2000
 # Upper bound on the bytes of one neighbourhood chunk (see _neighbourhood_stacks)
 NBHD_STACK_BYTES = 1 << 20
 # Upper bound on the bytes of one panel: a (rows x n) uint64 array of the BFS
@@ -264,14 +263,8 @@ class CharPoly:
         return len(self.coeffs) - 1
 
 
-def char_poly(G: Graph, budget: int = DEFAULT_SPECTRAL_BUDGET) -> CharPoly:
+def char_poly(G: Graph) -> CharPoly:
     """Exact integer characteristic polynomial of the adjacency matrix."""
-    if G.n > budget:
-        from .errors import BudgetExceededError
-
-        raise BudgetExceededError(
-            f"char poly of a {G.n}-vertex graph exceeds spectral budget {budget}"
-        )
     return CharPoly(char_poly_exact(G.adj, G.n))
 
 

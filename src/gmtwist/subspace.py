@@ -14,10 +14,8 @@ from functools import lru_cache, total_ordering
 from itertools import combinations, product
 from math import prod
 
-from .errors import BudgetExceededError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .gf import FieldContext, rank_of_rows, rref_rows
-
-DEFAULT_ENUM_BUDGET = 10**7
 
 
 @total_ordering
@@ -90,9 +88,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(
-    ctx: FieldContext, n: int, k: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> list[Subspace]:
+def enumerate_subspaces(ctx: FieldContext, n: int, k: int) -> list[Subspace]:
     """All k-dim subspaces of GF(q)^n in canonical order.
 
     Generation runs per pivot-column pattern (each pattern emits exactly the
@@ -102,10 +98,6 @@ def enumerate_subspaces(
     if not 0 <= k <= n:
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
     count = gaussian_binomial(n, k, ctx.q)
-    if count > budget:
-        raise BudgetExceededError(
-            f"enumerating {count} subspaces (n={n}, k={k}, q={ctx.q}) exceeds budget {budget}"
-        )
     if k == 0:
         return [Subspace(ctx, n, ())]
     q = ctx.q

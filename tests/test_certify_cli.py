@@ -10,6 +10,7 @@ import pytest
 
 import gmtwist
 import gmtwist.certify as certify_mod
+import gmtwist.construct as construct_mod
 import gmtwist.graph as graph_mod
 from gmtwist.certify import (
     certificate_to_json,
@@ -18,7 +19,14 @@ from gmtwist.certify import (
     validate_certificate,
 )
 from gmtwist.cli import main
-from gmtwist.construct import Design, PartitionInfo, VertexMap, _in_hyperplane
+from gmtwist.construct import (
+    Design,
+    Parameters,
+    PartitionInfo,
+    VertexMap,
+    _in_hyperplane,
+    canonical_grassmann,
+)
 from gmtwist.graph import Graph, SwitchingPartition
 from gmtwist.graphio import from_graph6
 
@@ -36,6 +44,9 @@ def test_certification_2_2_passes(cert22):
     assert cert22["gm_validation"]["d_tallies"] == {"zero": 270, "half": 60, "full": 45}
     assert cert22["cospectrality"]["method"] == "charpoly"
     assert cert22["switched_adjacency_rule"]["pairs_checked"] == 2100
+    # the invariant is the one asked for (the default), never swapped for another
+    assert cert22["transitivity_evidence"]["invariant"] == "nbhd-charpoly"
+    assert "fallback_used" not in cert22["transitivity_evidence"]
     assert cert22["transitivity_evidence"]["original_distinct"] == 1
     assert cert22["transitivity_evidence"]["switched_distinct"] >= 2
     # two local spectra, on the |A| = 140 and |D| = 15 vertices
@@ -96,16 +107,6 @@ def test_budget_forces_array_method():
     assert cert["cospectrality"]["method"] == "intersection-array"
     assert "charpoly_skipped_reason" in cert["cospectrality"]
     assert cert["overall"] == "pass"
-
-
-def test_high_valency_falls_back_to_clique_counts(cert22, monkeypatch):
-    # at the default valency bound, (2,2) (valency 42) uses the char polys
-    assert cert22["transitivity_evidence"]["invariant"] == "nbhd-charpoly"
-    assert cert22["transitivity_evidence"]["fallback_used"] is False
-    monkeypatch.setattr(certify_mod, "NBHD_CHARPOLY_MAX_VALENCY", 41)
-    evidence = run_certification(2, 2, skip_charpoly=True)["transitivity_evidence"]
-    assert evidence["invariant"] == "clique-counts" and evidence["fallback_used"] is True
-    assert evidence["verdict"] == "pass"
 
 
 def test_clique_count_invariant():
@@ -207,9 +208,26 @@ def test_cli_parameter_errors(tmp_path):
 
 
 def test_cli_budget_exhaustion(tmp_path):
-    # q=4, e=3 would enumerate billions of subspaces; the budget stops it
+    # q=4, e=3 would enumerate billions of subspaces; admission refuses it
     out = tmp_path / "big.g6"
     assert main(["build", "grassmann", "--q", "4", "--e", "3", "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["certify"], ["switch", "--out", "s.g6"], ["build", "grassmann", "--out", "g.g6"]],
+    ids=["certify", "switch", "build"],
+)
+def test_cli_refuses_q7_e2_before_enumerating(argv, tmp_path, monkeypatch, capsys):
+    # (7,2) has 140050 vertices, over MAX_VERTICES: exit 3 with nothing built
+    def enumerate_subspaces(*args):
+        raise AssertionError("enumerated subspaces of an inadmissible size")
+
+    monkeypatch.setattr(construct_mod, "enumerate_subspaces", enumerate_subspaces)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--q", "7", "--e", "2"]) == 3
+    assert "140050 vertices" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "", "1.5"])
@@ -365,4 +383,37 @@ def test_moved_point_fails_pseudo_geometric_design(monkeypatch):
 def test_swapped_psi_entries_fail_psi(monkeypatch):
     cert = _tampered_certificate(monkeypatch, "psi_map", _swap_first_two)
     assert cert["isomorphisms"]["psi"] == "fail"
+    assert cert["overall"] == "fail"
+
+
+def test_dropped_b_subspace_fails_counts(monkeypatch):
+    cert = _tampered_certificate(monkeypatch, "split_A_B", lambda abd: (abd[0], abd[1][1:], abd[2]))
+    assert cert["counts"]["B"] == 14 and cert["counts"]["verdict"] == "fail"
+    assert cert["overall"] == "fail"
+
+
+def test_moved_point_fails_intersection_sizes(monkeypatch):
+    cert = _tampered_certificate(monkeypatch, "pg_design", _move_point)
+    sizes = cert["designs"]["intersection_sizes"]
+    assert sizes["verdict"] == "fail"
+    assert not set(sizes["observed_geometric"]) <= set(sizes["allowed"])
+    assert cert["overall"] == "fail"
+
+
+def test_unswitched_graph_fails_transitivity_evidence(monkeypatch):
+    unswitched = canonical_grassmann(Parameters(2, 2))
+    cert = _tampered_certificate(monkeypatch, "apply_gm_switch", lambda switched: unswitched)
+    evidence = cert["transitivity_evidence"]
+    assert (evidence["verdict"], evidence["switched_distinct"]) == ("fail", 1)
+    assert cert["overall"] == "fail"
+
+
+def test_same_polarity_twice_fails_polarity_independence(monkeypatch):
+    # the second switching uses the first polarity again: every comparison
+    # agrees trivially, so only the distinct Gram matrices can fail it
+    monkeypatch.setattr(certify_mod, "_pairwise_gram", certify_mod.standard_polarity)
+    cert = run_certification(2, 2, skip_charpoly=True, invariant="clique-counts")
+    independence = cert["polarity_independence"]
+    assert independence["grams_distinct"] is False and independence["arrays_equal"] is True
+    assert independence["verdict"] == "fail"
     assert cert["overall"] == "fail"

@@ -19,7 +19,6 @@ from gmtwist.construct import (
     block_intersection_sizes,
     design_lambda,
     distorted_block,
-    grassmann,
     intersect_hyperplane,
     jt_design,
     canonical_grassmann,
@@ -34,7 +33,7 @@ from gmtwist.construct import (
     verify_lemma1_counts,
     verify_ta_rule,
 )
-from gmtwist.errors import DomainError, ParameterError
+from gmtwist.errors import BudgetExceededError, DomainError, ParameterError
 from gmtwist.graph import Graph, check_equitable, check_isomorphism, gm_switch, mask_of, validate_gm
 from gmtwist.subspace import (
     apply_polarity,
@@ -44,7 +43,7 @@ from gmtwist.subspace import (
     gaussian_binomial,
     point_mask,
 )
-from helpers import mask_contains
+from helpers import grassmann, mask_contains
 
 
 def test_parameters_validation():
@@ -55,6 +54,30 @@ def test_parameters_validation():
         Parameters(6, 2)
     with pytest.raises(ParameterError):
         Parameters(2, 0)
+
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def test_admission_is_the_vertex_count(monkeypatch):
+    # the uncached body, with the enumeration stubbed: the cache stays clean
+    # and no admitted size is actually enumerated
+    monkeypatch.setattr(construct_mod, "enumerate_subspaces", lambda ctx, n, k: ["enumerated"])
+    admit = construct_mod._all_vertices.__wrapped__
+    admitted = set()
+    for q in PRIME_POWERS:
+        for e in range(1, 7):
+            params = Parameters(q, e)
+            if params.vertex_count <= construct_mod.MAX_VERTICES:
+                assert admit(params) == ("enumerated",)
+                admitted.add((q, e))
+            else:
+                with pytest.raises(BudgetExceededError, match=str(params.vertex_count)):
+                    admit(params)
+    assert sorted(p for p in admitted if p[1] >= 2) == [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)]
+    assert {q for q, e in admitted if e == 1} == set(PRIME_POWERS)
+    assert Parameters(5, 2).vertex_count == 20306 < construct_mod.MAX_VERTICES
+    assert Parameters(7, 2).vertex_count == 140050 > construct_mod.MAX_VERTICES
 
 
 def test_grassmann_small():
@@ -255,6 +278,13 @@ def test_verify_2_design_catches_mutations(params22):
     # a short block breaks size uniformity
     ragged = Design(D.params, D.points, D.blocks[:-1] + (D.blocks[-1][:-1],), D.provenance)
     assert not verify_2_design(ragged).ok
+
+
+def test_verify_2_design_on_fewer_than_two_points():
+    # no point pair to count: a failing check with its reason, not an exception
+    for points, blocks in (((0,), ((0,),)), ((), ((),))):
+        check = verify_2_design(Design(Parameters(2, 2), points, blocks, "x"))
+        assert not check.ok and check.violation == ("fewer than two points",)
 
 
 def test_block_intersection_sizes(params22, sigma22):

@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from gmtwist.errors import BudgetExceededError, DomainError, ParameterError
+from gmtwist.errors import DomainError, ParameterError
 from gmtwist.gf import make_field
 from gmtwist.subspace import (
     Polarity,
@@ -134,11 +134,6 @@ def test_enumerate_subspaces_counts_and_brute_force():
     assert len(enumerate_subspaces(ctx, 5, 3)) == 155 == gaussian_binomial(5, 3, 2)
     assert len(enumerate_subspaces(ctx, 4, 0)) == 1
     assert len(enumerate_subspaces(make_field(3), 4, 4)) == 1
-
-
-def test_enumeration_budget():
-    with pytest.raises(BudgetExceededError):
-        enumerate_subspaces(make_field(2), 5, 3, budget=100)
 
 
 def test_gaussian_binomial_product_formula():
