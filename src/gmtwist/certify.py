@@ -1,12 +1,13 @@
 """End-to-end certification pipeline and the machine-readable certificate.
 
 A certificate records, for one parameter pair (q, e): the vertex census, the
-switching-hypothesis validation, cospectrality (exact char poly or
-intersection-array equality), the switched-adjacency rule, both designs, the
+switching-hypothesis validation, the switched-adjacency rule, the intersection
+arrays against their closed form, cospectrality, both designs, the
 block-graph identity, the two isomorphism maps, non-vertex-transitivity
-evidence, and polarity independence.  Every verdict is pass / fail / skipped;
-skips carry a reason.  Failures are recorded, never raised: negative evidence
-is part of the product.
+evidence, and polarity independence.  Cospectrality has one proof at every
+size, the exact Godsil-McKay similarity A' = QAQ (`graph.gm_witness`).  Every
+verdict is pass / fail / skipped; skips carry a reason.  Failures are
+recorded, never raised: negative evidence is part of the product.
 """
 
 from __future__ import annotations
@@ -36,18 +37,14 @@ from .construct import (
 from .errors import ParameterError
 from .graph import (
     apply_gm_switch,
-    char_poly,
     check_isomorphism,
+    gm_witness,
     intersection_array,
     validate_gm,
     vertex_invariant_distribution,
 )
 from .subspace import gaussian_binomial, make_polarity_from_gram
 
-# certify-level policy: exact char polys only for graphs this small by default
-# (overridable with --budget); heavier graphs certify cospectrality through
-# intersection arrays, which for distance-regular graphs implies cospectrality.
-DEFAULT_CERTIFY_SPECTRAL_BUDGET = 500
 # twisted graph / psi / invariants / polarity-independence are quadratic-or-worse
 # stages that stay feasible up to this many vertices
 HEAVY_STAGE_LIMIT = 2000
@@ -88,8 +85,6 @@ def run_certification(
     q: int,
     e: int,
     *,
-    skip_charpoly: bool = False,
-    spectral_budget: int = DEFAULT_CERTIFY_SPECTRAL_BUDGET,
     invariant: str = "nbhd-charpoly",
 ) -> dict:
     """Run the full pipeline for (q, e) and return the certificate dict."""
@@ -155,33 +150,25 @@ def run_certification(
         cert["switched_adjacency_rule"] = _skip("GM hypothesis failed; no switched graph")
     timer.mark("switch_and_ta")
 
-    # --- intersection arrays ------------------------------------------------
-    arrays: dict = {}
-    drg_equal = None
+    # --- intersection arrays (the verdict waits for the twisted graph's) ------
+    ia = intersection_array(G)
+    arrays: dict = {"original": ia.array.to_json() if ia.is_drg else None}
     if switched is not None:
-        ia = intersection_array(G)
         iat = intersection_array(switched)
-        arrays["original"] = ia.array.to_json() if ia.is_drg else None
         arrays["switched"] = iat.array.to_json() if iat.is_drg else None
-        drg_equal = ia.is_drg and iat.is_drg and ia.array == iat.array
-        arrays["equal"] = drg_equal
+        arrays["equal"] = ia.is_drg and iat.is_drg and ia.array == iat.array
     cert["intersection_arrays"] = arrays
     timer.mark("intersection_arrays")
 
-    # --- cospectrality --------------------------------------------------------
-    use_charpoly = not skip_charpoly and G.n <= spectral_budget
+    # --- cospectrality: A' = QAQ with Q^2 = I ------------------------------
     if switched is None:
         cert["cospectrality"] = _skip("no switched graph")
-    elif use_charpoly:
-        cp_switched = char_poly(switched)
-        same = char_poly(G) == cp_switched
-        cert["cospectrality"] = {"method": "charpoly", "verdict": _verdict(same)}
     else:
-        reason = "flag" if skip_charpoly else "budget"
+        violation = gm_witness(G, switched, info.partition)
         cert["cospectrality"] = {
-            "method": "intersection-array",
-            "charpoly_skipped_reason": reason,
-            "verdict": _verdict(bool(drg_equal)),
+            "method": "gm-witness",
+            "verdict": _verdict(violation is None),
+            "violation": violation and list(violation),
         }
     timer.mark("cospectrality")
 
@@ -241,12 +228,18 @@ def run_certification(
             _verdict(psi.injective and check_isomorphism(twisted, delta, psi.mapping).ok)
         )
         ia_tw = intersection_array(twisted)
-        cert["intersection_arrays"]["twisted"] = (
-            ia_tw.array.to_json() if ia_tw.is_drg else None
-        )
+        arrays["twisted"] = ia_tw.array.to_json() if ia_tw.is_drg else None
     else:
         iso["psi"] = _skip("budget")
     cert["isomorphisms"] = iso
+    qint = [gaussian_binomial(m, 1, q) for m in range(e + 2)]  # [m] = (q^m - 1)/(q - 1)
+    closed_form = {  # the intersection array of J_q(2e+1, e+1)
+        "diameter": e,
+        "b": [q ** (2 * j + 1) * qint[e + 1 - j] * qint[e - j] for j in range(e)],
+        "c": [qint[j] ** 2 for j in range(1, e + 1)],
+    }
+    graphs = [k for k in ("original", "switched", "twisted") if k in arrays]
+    arrays["verdict"] = _verdict(all(arrays[k] == closed_form for k in graphs))
     timer.mark("isomorphisms")
 
     # --- non-vertex-transitivity evidence --------------------------------------
@@ -268,16 +261,17 @@ def run_certification(
     timer.mark("transitivity_evidence")
 
     # --- polarity independence --------------------------------------------
-    # the switched graph's char poly, array and invariant come from above
+    # the switched graph's array and invariant come from above
     if heavy_ok:
         sigma2 = _pairwise_gram(params)
         info2 = switching_partition(params, sigma2)
         rep2 = validate_gm(G, info2.partition)
         if rep2.passed:
             switched2 = apply_gm_switch(G, info2.partition)
-            checks = {"grams_distinct": sigma2.gram != sigma.gram}
-            if use_charpoly:
-                checks["charpoly_equal"] = cp_switched == char_poly(switched2)
+            checks = {
+                "grams_distinct": sigma2.gram != sigma.gram,
+                "witness": gm_witness(G, switched2, info2.partition) is None,
+            }
             ia2 = intersection_array(switched2)
             checks["arrays_equal"] = ia2.is_drg and iat.is_drg and ia2.array == iat.array
             d2 = vertex_invariant_distribution(switched2, invariant)
@@ -322,7 +316,7 @@ def collect_verdicts(cert: dict) -> dict:
                     out[f"{prefix}.{k}" if prefix else k] = {"verdict": v}
 
     for key, val in cert.items():
-        if key in ("tool", "params", "timings_sec", "verdicts", "overall", "intersection_arrays"):
+        if key in ("tool", "params", "timings_sec", "verdicts", "overall"):
             continue
         visit(key, val)
     return out

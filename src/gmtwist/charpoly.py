@@ -14,8 +14,9 @@ known to be zero: a reduction step that no matrix needs, the update of a row
 whose multiplier is 0, and recurrence terms behind a sub-diagonal entry that
 is 0 in every matrix.  `char_polys_exact` flattens (matrix, prime) pairs into
 such stacks of at most `KERNEL_STACK_BYTES` bytes each, so memory stays
-bounded however many matrices come in; `char_poly_exact` is the one-matrix
-case.
+bounded however many matrices come in.  Its one caller is the neighbourhood
+invariant of `graph`; no whole-graph characteristic polynomial is computed
+(cospectrality is proved by `graph.gm_witness`).
 
 Overflow: every entry is reduced into [0, p) with p < 2^25, so one product is
 below 2^50 and a dot product of at most `_MAX_DIM` = 2^12 such terms stays
@@ -87,8 +88,8 @@ def packed_rows(rows, nbits: int) -> np.ndarray:
     (len(rows), ceil(nbits/64)) little-endian uint64 array: bit j of row i is
     bit j % 64 of word j // 64.
 
-    This is the one conversion from bitmasks to numpy; `adjacency_matrix`
-    and the popcount kernels of `graph` all start from it.
+    This is the one conversion from bitmasks to numpy; the popcount kernels
+    and the 0/1 row panels of `graph` all start from it.
     """
     width = (nbits + 63) // 64
     out = np.empty((len(rows), width), dtype="<u8")
@@ -97,12 +98,6 @@ def packed_rows(rows, nbits: int) -> np.ndarray:
         row_bytes[i] = np.frombuffer(r.to_bytes(8 * width, "little"), np.uint8)
     out.flags.writeable = False
     return out
-
-
-def adjacency_matrix(adj_rows, n: int) -> np.ndarray:
-    """Dense n x n uint8 0/1 matrix of adjacency rows given as int bitmasks."""
-    packed = packed_rows(adj_rows, n).view(np.uint8)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 def _charpoly_mod(A: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -213,13 +208,3 @@ def char_polys_exact(mats: np.ndarray) -> list[tuple[int, ...]]:
     )
     polys = [_crt_coefficients(row.reshape(len(primes), n + 1), primes) for row in distinct]
     return [polys[i] for i in which.reshape(-1)]
-
-
-def char_poly_exact(adj_rows: list[int], n: int) -> tuple[int, ...]:
-    """Exact char poly det(xI - A) of an adjacency matrix given as row bitmasks.
-
-    Returns ascending integer coefficients (c_0, ..., c_n) with c_n = 1.
-    """
-    if n >= _MAX_DIM:
-        raise ParameterError(f"matrix dimension {n} exceeds charpoly limit {_MAX_DIM}")
-    return char_polys_exact(adjacency_matrix(adj_rows, n)[None])[0]

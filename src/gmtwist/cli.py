@@ -8,21 +8,17 @@ Subcommands:
 Exit codes: 0 success / all verdicts pass; 1 a verified claim failed;
 2 usage or parameter error; 3 the graph J_q(2e+1, e+1) has more than
 construct.MAX_VERTICES (2^15) vertices, refused before anything is built.
-`certify --budget` only chooses how cospectrality is certified.
+`certify` has one cospectrality proof at every size, the Godsil-McKay
+similarity witness; `--skip-charpoly` is accepted and changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .certify import (
-    DEFAULT_CERTIFY_SPECTRAL_BUDGET,
-    certificate_to_json,
-    run_certification,
-)
+from .certify import certificate_to_json, run_certification
 from .construct import (
     Parameters,
     block_graph,
@@ -36,8 +32,6 @@ from .construct import (
 from .errors import BudgetExceededError, DomainError, ParameterError
 from .graph import Graph, gm_switch
 from .graphio import label_table_json, to_edge_list, to_graph6, to_json
-
-BUDGET_ENV_VAR = "GMTWIST_BUDGET"
 
 BUILD_KINDS = ("grassmann", "twisted", "pg-design", "jt-design", "block-graph")
 
@@ -102,31 +96,8 @@ def _cmd_switch(args) -> int:
     return 0
 
 
-def _parse_budget(source: str, text: str) -> int:
-    """The spectral budget given as `text` by `source`: an integer >= 0."""
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise ParameterError(f"{source} must be an integer >= 0, got {text!r}")
-    return budget
-
-
 def _cmd_certify(args) -> int:
-    if args.budget is not None:
-        budget = _parse_budget("--budget", args.budget)
-    elif BUDGET_ENV_VAR in os.environ:
-        budget = _parse_budget(BUDGET_ENV_VAR, os.environ[BUDGET_ENV_VAR])
-    else:
-        budget = DEFAULT_CERTIFY_SPECTRAL_BUDGET
-    cert = run_certification(
-        args.q,
-        args.e,
-        skip_charpoly=args.skip_charpoly,
-        spectral_budget=budget,
-        invariant=args.invariant,
-    )
+    cert = run_certification(args.q, args.e, invariant=args.invariant)
     text = certificate_to_json(cert)
     if args.out:
         with open(args.out, "w") as fh:
@@ -161,10 +132,10 @@ def make_parser() -> argparse.ArgumentParser:
     c = subs.add_parser("certify", help="run the full certification pipeline")
     _add_common(c)
     c.add_argument("--out", help="certificate path (stdout if omitted)")
-    c.add_argument("--skip-charpoly", action="store_true", help="certify cospectrality via intersection arrays only")
     c.add_argument(
-        "--budget",
-        help=f"max vertices for exact char polys (default {DEFAULT_CERTIFY_SPECTRAL_BUDGET}, env {BUDGET_ENV_VAR})",
+        "--skip-charpoly",
+        action="store_true",
+        help="accepted and ignored: certify computes no whole-graph characteristic polynomial",
     )
     c.add_argument(
         "--invariant",

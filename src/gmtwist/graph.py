@@ -1,4 +1,4 @@
-"""Finite simple graphs with exact spectral and switching machinery.
+"""Finite simple graphs with exact switching and cospectrality machinery.
 
 Adjacency is stored as a tuple of Python int bitmasks, one per vertex.  Every
 computation over whole graphs runs on a packed numpy view of bitmask rows,
@@ -6,13 +6,16 @@ computation over whole graphs runs on a packed numpy view of bitmask rows,
 plus `np.bitwise_count` replaces Python bit loops.  One word loop,
 `_popcount_and`, serves the BFS intersection arrays, the neighbourhood
 clique counts and `pair_counts`, the intersection sizes of every mask of one
-family with every mask of another.  It makes every row-against-mask count:
-the (vertex x cell) counts of the equitability check, the GM validation and
-the switch, and in `construct` the block graphs, the twisted Grassmann graph,
-the 2-design check and the switched-adjacency rule.  The isomorphism check and the graph codecs of
-`graphio` read the rows unpacked to 0/1 bytes, a panel at a time
-(`bit_panels`).  Every count is a sum of integer popcounts, so every result
-stays exact, and no kernel allocates an n x n array.
+family with every mask of another.  It makes the (vertex x cell) counts of
+the equitability check, the GM validation and the switch, and in `construct`
+the block graphs, the twisted Grassmann graph, the 2-design check and the
+switched-adjacency rule.  The isomorphism check, the graph codecs of `graphio`
+and `gm_witness` read the rows unpacked to 0/1 bytes, a panel at a time
+(`bit_panels`).  `gm_witness` is the cospectrality proof: it checks the
+Godsil-McKay similarity A' = QAQ exactly, with its own cell counts summed from
+those panels, so it does not share a kernel with the switch it checks.  Every
+count is a sum of integers, so every result stays exact, and no kernel
+allocates an n x n array.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .charpoly import char_poly_exact, char_polys_exact, packed_rows
+from .charpoly import char_polys_exact, packed_rows
 from .errors import DomainError, GMHypothesisError, ParameterError
 
 # Upper bound on the bytes of one neighbourhood chunk (see _neighbourhood_stacks)
@@ -252,20 +255,60 @@ def apply_gm_switch(G: Graph, P: SwitchingPartition) -> Graph:
     return Graph(G.labels, adj)
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Exact det(xI - A); coeffs[i] is the coefficient of x^i, monic."""
+def gm_witness(G: Graph, H: Graph, P: SwitchingPartition) -> tuple | None:
+    """Check that H's adjacency matrix A' is QAQ, for A that of G and Q the
+    Godsil-McKay matrix of P: (2/m)J - I on each cell of size m, I on the
+    exempt class D.  Q = Q^T and Q^2 = I, so this is AQ = QA', and it proves
+    G and H cospectral.  Returns None, or the first (x, y) in row-major order
+    at which m_x m_y AQ and m_x m_y QA' differ.  Those integers are
 
-    coeffs: tuple[int, ...]
+        L[x, y] = m_x A[x, y]  (y in D),  m_x (2 N(x, c(y)) - m_y A[x, y])
+        R[x, y] = m_y A'[x, y] (x in D),  m_y (2 N'(y, c(x)) - m_x A'[x, y])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    with m_v the size of the cell c(v) of v (1 on D), N(x, j) = |N_G(x) & C_j|
+    and N'(y, i) = |N_H(y) & C_i|.  The counts are sums of the 0/1 rows of
+    `bit_panels` gathered in cell order, not `pair_counts`, which makes the
+    switch.  Rows go in chunks that keep one int64 (rows x n) array within
+    PANEL_BYTES (and at least one row); |L|, |R| <= 2 n^2, so all is exact.
+    """
+    P.validate_structure(G.n)
+    if H.n != G.n:
+        raise ParameterError("the two graphs have different vertex counts")
+    n = G.n
+    cells = [c for c in P.cells if c]
+    sizes = np.array([len(c) for c in cells], dtype=np.int64)
+    order = np.array([v for c in cells for v in c], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    # D is cell len(cells), whose counts are 0; sign is -m_v on the cells and 1 on D
+    cell = np.full(n, len(cells), dtype=np.intp)
+    cell[order] = np.repeat(np.arange(len(cells)), sizes)
+    m = np.ones(n, dtype=np.int64)
+    m[order] = np.repeat(sizes, sizes)
+    sign = np.where(cell < len(cells), -m, 1)
 
+    def cell_counts(bits):
+        counts = np.add.reduceat(bits[:, order], starts, axis=1, dtype=np.int32)
+        return np.pad(counts, ((0, 0), (0, 1)))
 
-def char_poly(G: Graph) -> CharPoly:
-    """Exact integer characteristic polynomial of the adjacency matrix."""
-    return CharPoly(char_poly_exact(G.adj, G.n))
+    h_counts = np.empty((len(cells) + 1, n), dtype=np.int32)  # h_counts[i, y] = N'(y, i)
+    for lo, bits in bit_panels(H):
+        h_counts[:, lo : lo + len(bits)] = cell_counts(bits).T
+    step = max(1, PANEL_BYTES // (8 * max(n, 1)))
+    for (lo, rows), (_, h_rows) in zip(bit_panels(G), bit_panels(H)):
+        g_counts = cell_counts(rows)
+        for r in range(0, len(rows), step):
+            x = np.arange(lo + r, lo + min(r + step, len(rows)))
+            left = 2 * g_counts[r : r + step, cell].astype(np.int64)
+            left += sign * rows[r : r + step]
+            left *= m[x, None]
+            right = 2 * h_counts[cell[x]].astype(np.int64)
+            right += sign[x, None] * h_rows[r : r + step]
+            right *= m
+            bad = left != right
+            if bad.any():
+                i, y = np.argwhere(bad)[0].tolist()
+                return int(x[i]), y
+    return None
 
 
 @dataclass

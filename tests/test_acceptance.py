@@ -32,9 +32,9 @@ from gmtwist.construct import (
 from gmtwist.gf import make_field, rank_of_rows, rref_rows
 from gmtwist.graph import (
     SwitchingPartition,
-    char_poly,
     check_isomorphism,
     gm_switch,
+    gm_witness,
     intersection_array,
     validate_gm,
     vertex_invariant_distribution,
@@ -46,7 +46,7 @@ from gmtwist.subspace import (
     gaussian_binomial,
     make_polarity,
 )
-from helpers import build_graph
+from helpers import build_graph, char_poly
 
 
 class Pipeline:
@@ -111,6 +111,9 @@ def test_criterion_3_cospectrality(pipe22, pipe32):
     p2 = char_poly(pipe22.switched)
     assert p1 == p2 and p1.degree == 155
     assert time.monotonic() - t0 < 60, "exact char poly at (2,2) over budget"
+    # the Godsil-McKay similarity A' = QAQ, the certificate's proof at every size
+    for pipe in (pipe22, pipe32):
+        assert gm_witness(pipe.G, pipe.switched, pipe.info.partition) is None
     a1 = intersection_array(pipe32.G)
     a2 = intersection_array(pipe32.switched)
     assert a1.is_drg and a2.is_drg

@@ -42,7 +42,11 @@ def test_certification_2_2_passes(cert22):
     assert cert22["counts"]["A"] == 140 and cert22["counts"]["B"] == 15
     assert cert22["counts"]["cells"]["size_histogram"] == {"4": 15, "8": 10}
     assert cert22["gm_validation"]["d_tallies"] == {"zero": 270, "half": 60, "full": 45}
-    assert cert22["cospectrality"]["method"] == "charpoly"
+    assert cert22["cospectrality"] == {"method": "gm-witness", "verdict": "pass", "violation": None}
+    arrays = cert22["intersection_arrays"]
+    assert arrays["verdict"] == "pass" and cert22["verdicts"]["intersection_arrays"] == {"verdict": "pass"}
+    for graph in ("original", "switched", "twisted"):
+        assert arrays[graph] == {"diameter": 2, "b": [42, 24], "c": [1, 9]}
     assert cert22["switched_adjacency_rule"]["pairs_checked"] == 2100
     # the invariant is the one asked for (the default), never swapped for another
     assert cert22["transitivity_evidence"]["invariant"] == "nbhd-charpoly"
@@ -54,7 +58,7 @@ def test_certification_2_2_passes(cert22):
     assert cert22["polarity_independence"] == {
         "verdict": "pass",
         "grams_distinct": True,
-        "charpoly_equal": True,
+        "witness": True,
         "arrays_equal": True,
         "invariant_distributions_equal": True,
     }
@@ -74,7 +78,7 @@ def test_certification_computes_each_artifact_once(monkeypatch):
 
         return wrapper
 
-    for name in ("validate_gm", "char_poly", "intersection_array", "vertex_invariant_distribution"):
+    for name in ("validate_gm", "gm_witness", "intersection_array", "vertex_invariant_distribution"):
         monkeypatch.setattr(certify_mod, name, counted(name, getattr(certify_mod, name)))
     # gm_switch validates through the graph module's own binding
     monkeypatch.setattr(graph_mod, "validate_gm", certify_mod.validate_gm)
@@ -82,8 +86,8 @@ def test_certification_computes_each_artifact_once(monkeypatch):
     assert set(calls.values()) == {1}  # no call repeats an earlier one
     assert Counter(key[0] for key in calls) == {
         "validate_gm": 2,  # one per switching partition; switching does not revalidate
-        "char_poly": 3,  # G, the switched graph and the second switched graph
-        "intersection_array": 4,  # the same three plus the twisted graph
+        "gm_witness": 2,  # G against each of the two switched graphs
+        "intersection_array": 4,  # G, both switched graphs and the twisted graph
         "vertex_invariant_distribution": 3,
     }
 
@@ -93,20 +97,6 @@ def test_certificate_schema(cert22):
     # serialized form is stable JSON and parses back to the same document
     text = certificate_to_json(cert22)
     assert json.loads(text) == json.loads(certificate_to_json(cert22))
-
-
-def test_skip_charpoly_uses_arrays():
-    cert = run_certification(2, 2, skip_charpoly=True)
-    assert cert["overall"] == "pass"
-    assert cert["cospectrality"]["method"] == "intersection-array"
-    validate_certificate(cert)
-
-
-def test_budget_forces_array_method():
-    cert = run_certification(2, 2, spectral_budget=100)
-    assert cert["cospectrality"]["method"] == "intersection-array"
-    assert "charpoly_skipped_reason" in cert["cospectrality"]
-    assert cert["overall"] == "pass"
 
 
 def test_clique_count_invariant():
@@ -174,13 +164,29 @@ def test_cli_switch(tmp_path):
     assert sorted(len(c) for c in part["cells"]).count(4) == 15
 
 
-def test_cli_certify(tmp_path):
-    out = tmp_path / "cert.json"
-    rc = main(["certify", "--q", "2", "--e", "2", "--out", str(out)])
-    assert rc == 0
-    cert = json.loads(out.read_text())
+def _cli_certificate(path, *flags):
+    """The certificate that `certify --q 2 --e 2 [flags]` writes to path,
+    without its timings."""
+    assert main(["certify", "--q", "2", "--e", "2", *flags, "--out", str(path)]) == 0
+    cert = json.loads(path.read_text())
     validate_certificate(cert)
-    assert cert["overall"] == "pass"
+    del cert["timings_sec"]
+    return cert
+
+
+@pytest.fixture(scope="module")
+def cli_cert22(tmp_path_factory):
+    return _cli_certificate(tmp_path_factory.mktemp("cli") / "cert.json")
+
+
+def test_cli_certify(cli_cert22):
+    assert cli_cert22["overall"] == "pass"
+    assert cli_cert22["cospectrality"]["method"] == "gm-witness"
+
+
+def test_skip_charpoly_changes_nothing(cli_cert22, tmp_path):
+    # the flag is still accepted; no whole-graph char poly is computed either way
+    assert _cli_certificate(tmp_path / "c.json", "--skip-charpoly") == cli_cert22
 
 
 def test_cli_certify_stdout(capsys):
@@ -230,31 +236,19 @@ def test_cli_refuses_q7_e2_before_enumerating(argv, tmp_path, monkeypatch, capsy
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", "", "1.5"])
-def test_cli_rejects_bad_budget_env_var(value, monkeypatch, capsys):
-    # exit 1 means a verified claim failed; a bad budget is a usage error
-    monkeypatch.setenv("GMTWIST_BUDGET", value)
-    assert main(["certify", "--q", "2", "--e", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: GMTWIST_BUDGET must be an integer >= 0")
+@pytest.mark.parametrize("value", ["abc", "-3", "1e3", "100"])
+def test_cli_rejects_bad_budget_flag(value, capsys):
+    # cospectrality has one proof at every size: there is no --budget to set
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--q", "2", "--e", "2", "--budget", value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "1e3"])
-def test_cli_rejects_bad_budget_flag(value, monkeypatch, capsys):
-    # the flag wins over a valid env var, and is checked the same way
-    monkeypatch.setenv("GMTWIST_BUDGET", "100")
-    assert main(["certify", "--q", "2", "--e", "2", "--budget", value]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --budget must be an integer >= 0")
-
-
-def test_cli_budget_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("GMTWIST_BUDGET", "100")
-    out = tmp_path / "c.json"
-    rc = main(["certify", "--q", "2", "--e", "2", "--out", str(out)])
-    assert rc == 0
-    cert = json.loads(out.read_text())
-    assert cert["cospectrality"]["method"] == "intersection-array"
+def test_cli_budget_env_var(cli_cert22, tmp_path, monkeypatch):
+    # GMTWIST_BUDGET is not read, so not even a malformed value changes anything
+    monkeypatch.setenv("GMTWIST_BUDGET", "abc")
+    assert _cli_certificate(tmp_path / "c.json") == cli_cert22
 
 
 # sha256 of the (2,2) build outputs, recorded at the commit before the
@@ -298,7 +292,7 @@ def test_cli_build_outputs_pinned(kind, tmp_path):
 def _tampered_certificate(monkeypatch, name, tamper):
     original = getattr(certify_mod, name)
     monkeypatch.setattr(certify_mod, name, lambda *args: tamper(original(*args)))
-    return run_certification(2, 2, skip_charpoly=True, invariant="clique-counts")
+    return run_certification(2, 2, invariant="clique-counts")
 
 
 def _move_point(D):
@@ -325,6 +319,8 @@ def test_flipped_grassmann_bit_fails_block_graph_identity(monkeypatch):
 
     cert = _tampered_certificate(monkeypatch, "canonical_grassmann", flip)
     assert cert["isomorphisms"]["block_graph_identity"] == "fail"
+    assert cert["intersection_arrays"]["original"] is None
+    assert cert["intersection_arrays"]["verdict"] == "fail"
     assert cert["overall"] == "fail"
 
 
@@ -341,7 +337,7 @@ def test_swapped_phi_entries_fail_phi(monkeypatch):
     assert cert["overall"] == "fail"
     # the untampered run passes the same verdicts
     monkeypatch.undo()
-    clean = run_certification(2, 2, skip_charpoly=True, invariant="clique-counts")
+    clean = run_certification(2, 2, invariant="clique-counts")
     assert clean["isomorphisms"] == {"block_graph_identity": "pass", "phi": "pass", "psi": "pass"}
     assert clean["designs"]["geometric"]["verdict"] == "pass"
     assert clean["overall"] == "pass"  # every verdict the other controls tamper with
@@ -359,18 +355,42 @@ def test_moved_cell_vertex_fails_gm_validation(monkeypatch):
     assert cert["overall"] == "fail"
 
 
-def test_flipped_a_d_edge_fails_switched_adjacency_rule(monkeypatch):
-    def flip(G):
-        a = next(i for i, W in enumerate(G.labels) if not _in_hyperplane(W))
-        d = next(i for i, W in enumerate(G.labels) if _in_hyperplane(W))
-        rows = list(G.adj)
-        rows[a] ^= 1 << d
-        rows[d] ^= 1 << a
-        return Graph(G.labels, rows)
+def _flip_a_d_edge(G):
+    """G with the pair of its first A-vertex and its first D-vertex flipped."""
+    a = next(i for i, W in enumerate(G.labels) if not _in_hyperplane(W))
+    d = next(i for i, W in enumerate(G.labels) if _in_hyperplane(W))
+    rows = list(G.adj)
+    rows[a] ^= 1 << d
+    rows[d] ^= 1 << a
+    return Graph(G.labels, rows)
 
-    cert = _tampered_certificate(monkeypatch, "apply_gm_switch", flip)
+
+def test_flipped_a_d_edge_fails_switched_adjacency_rule(monkeypatch):
+    cert = _tampered_certificate(monkeypatch, "apply_gm_switch", _flip_a_d_edge)
     rule = cert["switched_adjacency_rule"]
     assert (rule["verdict"], rule["violations"]) == ("fail", 1)
+    assert cert["overall"] == "fail"
+
+
+def test_flipped_a_d_edge_fails_cospectrality_and_intersection_arrays(monkeypatch):
+    cert = _tampered_certificate(monkeypatch, "apply_gm_switch", _flip_a_d_edge)
+    cospectrality = cert["cospectrality"]
+    assert (cospectrality["verdict"], cospectrality["method"]) == ("fail", "gm-witness")
+    assert cospectrality["violation"] is not None
+    arrays = cert["intersection_arrays"]
+    assert arrays["switched"] is None and arrays["original"] == arrays["twisted"] is not None
+    assert arrays["verdict"] == "fail" and cert["verdicts"]["intersection_arrays"] == {"verdict": "fail"}
+    assert cert["overall"] == "fail"
+
+
+def test_unswitched_graph_fails_cospectrality(monkeypatch):
+    # G is cospectral with itself, so only a check of the switch itself can
+    # fail here: G passed validate_gm, and A = QAQ does not hold for its Q
+    unswitched = canonical_grassmann(Parameters(2, 2))
+    cert = _tampered_certificate(monkeypatch, "apply_gm_switch", lambda switched: unswitched)
+    assert cert["gm_validation"]["verdict"] == "pass"
+    assert cert["cospectrality"]["verdict"] == "fail"
+    assert cert["intersection_arrays"]["verdict"] == "pass"
     assert cert["overall"] == "fail"
 
 
@@ -408,11 +428,33 @@ def test_unswitched_graph_fails_transitivity_evidence(monkeypatch):
     assert cert["overall"] == "fail"
 
 
+def test_first_switch_twice_fails_polarity_independence_witness(monkeypatch):
+    # the second switching returns the first switched graph: its array and
+    # invariants agree, so only the witness of the second partition can fail
+    first = []
+
+    def repeat_first(switched):
+        first.append(switched)
+        return first[0]
+
+    cert = _tampered_certificate(monkeypatch, "apply_gm_switch", repeat_first)
+    assert len(first) == 2 and first[0] != first[1]
+    assert cert["polarity_independence"] == {
+        "verdict": "fail",
+        "grams_distinct": True,
+        "witness": False,
+        "arrays_equal": True,
+        "invariant_distributions_equal": True,
+    }
+    assert cert["cospectrality"]["verdict"] == "pass"
+    assert cert["overall"] == "fail"
+
+
 def test_same_polarity_twice_fails_polarity_independence(monkeypatch):
     # the second switching uses the first polarity again: every comparison
     # agrees trivially, so only the distinct Gram matrices can fail it
     monkeypatch.setattr(certify_mod, "_pairwise_gram", certify_mod.standard_polarity)
-    cert = run_certification(2, 2, skip_charpoly=True, invariant="clique-counts")
+    cert = run_certification(2, 2, invariant="clique-counts")
     independence = cert["polarity_independence"]
     assert independence["grams_distinct"] is False and independence["arrays_equal"] is True
     assert independence["verdict"] == "fail"

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 import gmtwist.charpoly as charpoly_mod
 from gmtwist.charpoly import (
     _charpoly_mod,
-    adjacency_matrix,
-    char_poly_exact,
     char_polys_exact,
     coefficient_bound,
     packed_rows,
@@ -18,6 +16,7 @@ from gmtwist.charpoly import (
 from gmtwist.construct import Parameters, canonical_grassmann
 from gmtwist.errors import ParameterError
 from gmtwist.subspace import gaussian_binomial
+from helpers import adjacency_matrix, char_poly_exact
 
 
 def _adj_rows_from_edges(n, edges):
@@ -122,6 +121,9 @@ def test_packed_rows_layout_and_dense_unpack(n):
 def test_dimension_cap():
     with pytest.raises(ParameterError):
         char_poly_exact([0] * 5000, 5000)
+    # the cap is the kernel's own, checked before any work (an empty stack)
+    with pytest.raises(ParameterError):
+        char_polys_exact(np.zeros((0, 4096, 4096), dtype=np.uint8))
 
 
 # --- batched mod-p kernel -------------------------------------------------

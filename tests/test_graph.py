@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmtwist.graph as graph_mod
-from helpers import build_graph
-from gmtwist.charpoly import char_poly_exact
+from helpers import adjacency_matrix, build_graph, char_poly, char_poly_exact
 from gmtwist.construct import Parameters, canonical_grassmann, standard_polarity, switching_partition
 from gmtwist.errors import DomainError, GMHypothesisError, ParameterError
 from gmtwist.graph import (
@@ -17,10 +16,10 @@ from gmtwist.graph import (
     SwitchingPartition,
     apply_gm_switch,
     bits_of,
-    char_poly,
     check_equitable,
     check_isomorphism,
     gm_switch,
+    gm_witness,
     intersection_array,
     mask_of,
     pair_count_graph,
@@ -749,15 +748,17 @@ def _reference_check_isomorphism(G, H, mapping):
 
 
 @st.composite
-def switching_instances(draw):
+def switching_instances(draw, valid=False):
     """A graph with cells and an exempt class D: each cell a circulant (so
     equitable alone), each pair of cells joined completely or not at all,
     each D-vertex seeing none, half, all or a random part of each cell, and
-    some random edges on top that may break equitability."""
+    some random edges on top that may break equitability.  With `valid`, no
+    random part and no random edges: every instance satisfies the switching
+    hypothesis."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
     nd = draw(st.integers(0, 6))
-    noise = draw(st.sampled_from([0, 0, 1, 3]))
+    noise = 0 if valid else draw(st.sampled_from([0, 0, 1, 3]))
     cells, start = [], 0
     for s in sizes:
         cells.append(list(range(start, start + s)))
@@ -785,7 +786,11 @@ def switching_instances(draw):
                         add(a, b)
     for x in range(start, n):
         for cell in cells:
-            kind = rng.choice(["zero", "half", "full", "random"])
+            if valid:
+                kinds = ["zero", "half", "full"] if len(cell) % 2 == 0 else ["zero", "full"]
+            else:
+                kinds = ["zero", "half", "full", "random"]
+            kind = rng.choice(kinds)
             k = {"zero": 0, "half": len(cell) // 2, "full": len(cell)}.get(kind, rng.randrange(len(cell) + 1))
             for a in rng.sample(cell, k):
                 add(a, x)
@@ -820,6 +825,83 @@ def test_gm_checks_and_switch_match_bit_loops(instance, panel_bytes):
         assert apply_gm_switch(G, P) == _reference_switch(G, P)
     if rep.passed:
         assert gm_switch(gm_switch(G, P), P) == G
+
+
+def _flip(G, u, v):
+    rows = list(G.adj)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph(G.labels, rows)
+
+
+def _dense_witness(G, H, P):
+    """The first (x, y) with m_x m_y (AQ - QA')[x, y] != 0, or None, from dense
+    integer matrix products: QM = Q diag(m) is 2 [c(z) = c(y)] - m_y [z = y]
+    on the cells and [z = y] on D, and diag(m) Q is its transpose."""
+    n = G.n
+    A = adjacency_matrix(G.adj, n).astype(np.int64)
+    B = adjacency_matrix(H.adj, n).astype(np.int64)
+    m = np.ones(n, dtype=np.int64)
+    QM = np.eye(n, dtype=np.int64)
+    for cell in P.cells:
+        c = list(cell)
+        m[c] = len(c)
+        QM[np.ix_(c, c)] = 2
+        QM[c, c] = 2 - len(c)
+    bad = np.argwhere(m[:, None] * (A @ QM) != (QM.T @ B) * m[None, :])
+    return tuple(bad[0].tolist()) if len(bad) else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(switching_instances(), st.sampled_from([1, 24, 200, 1 << 16]), st.booleans())
+def test_gm_witness_matches_dense_products(instance, panel_bytes, flip):
+    # any instance, valid or not, against its switch with or without a flipped pair
+    G, P = instance
+    H = apply_gm_switch(G, P)
+    if flip and G.n >= 2:
+        H = _flip(H, 0, G.n - 1)
+    with patch.object(graph_mod, "PANEL_BYTES", panel_bytes):
+        got = gm_witness(G, H, P)
+    want = _dense_witness(G, H, P)
+    assert got == want
+    assert got is None or all(type(x) is int for x in got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(switching_instances(valid=True), st.sampled_from([1, 24, 200, 1 << 16]), st.data())
+def test_gm_witness_on_valid_switches_agrees_with_char_polys(instance, panel_bytes, data):
+    G, P = instance
+    H = gm_switch(G, P)
+    assert char_poly(G) == char_poly(H)  # the oracle
+    with patch.object(graph_mod, "PANEL_BYTES", panel_bytes):
+        assert gm_witness(G, H, P) is None
+        if G.n >= 2:
+            u, v = data.draw(st.lists(st.integers(0, G.n - 1), min_size=2, max_size=2, unique=True))
+            assert gm_witness(G, _flip(H, u, v), P) is not None
+
+
+def test_gm_witness_on_grassmann(G22, info22, switched22, monkeypatch):
+    P = info22.partition
+    for panel_bytes in (1, 8 * 155 * 3, 1 << 16):
+        monkeypatch.setattr(graph_mod, "PANEL_BYTES", panel_bytes)
+        assert gm_witness(G22, switched22, P) is None
+        # A = QAQ fails although G is cospectral with itself
+        assert gm_witness(G22, G22, P) == _dense_witness(G22, G22, P) is not None
+        tampered = _flip(switched22, P.cells[0][0], P.exempt[0])
+        assert gm_witness(G22, tampered, P) == _dense_witness(G22, tampered, P) is not None
+    with pytest.raises(ParameterError):
+        gm_witness(G22, _complete(3), P)
+    with pytest.raises(ParameterError):
+        gm_witness(G22, switched22, SwitchingPartition(P.cells, P.exempt[1:]))
+
+
+def test_gm_witness_counts_past_a_byte():
+    # the exempt vertex sees 256 of a cell of 512: counts are not bytes
+    G = build_graph(range(513), lambda u, v: max(u, v) == 512 and min(u, v) % 2 == 0)
+    P = SwitchingPartition((tuple(range(512)),), (512,))
+    H = gm_switch(G, P)
+    assert H.degree(512) == 256 and gm_witness(G, H, P) is None
+    assert gm_witness(G, G, P) == _dense_witness(G, G, P) is not None
 
 
 @st.composite
